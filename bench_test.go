@@ -44,29 +44,42 @@ func cachedScene(b *testing.B, name string) *scene.Scene {
 // once by a reduced-budget Nelder-Mead run.
 var tunedCache sync.Map
 
-func tunedConfig(b *testing.B, sc *scene.Scene, algo kdtree.Algorithm) kdtree.Config {
-	key := sc.Name + "/" + algo.String()
-	if c, ok := tunedCache.Load(key); ok {
-		return c.(kdtree.Config)
-	}
-	res := harness.Run(harness.RunConfig{
-		Scene: sc, Algorithm: algo, Search: harness.SearchNelderMead,
-		Width: 96, Height: 72, MaxIterations: 40, Seed: 7,
-	})
-	cfg := kdtree.Config{
-		Algorithm: algo,
-		CI:        float64(res.BestCI), CB: float64(res.BestCB),
-		S: res.BestS, R: res.BestR,
-	}
-	tunedCache.Store(key, cfg)
-	return cfg
+// benchRun is the run configuration the frame benches measure.
+func benchRun(sc *scene.Scene, algo kdtree.Algorithm) harness.RunConfig {
+	return harness.RunConfig{Scene: sc, Algorithm: algo, Width: 96, Height: 72}
 }
 
-// frame executes one Figure-4 frame: rebuild the tree, render.
-func frame(sc *scene.Scene, frameIdx int, cfg kdtree.Config) {
+// mapped runs a named vector through RunConfig.WithParams.
+func mapped(b *testing.B, rc harness.RunConfig, params map[string]int) harness.RunConfig {
+	rc, err := rc.WithParams(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rc
+}
+
+func tunedConfig(b *testing.B, sc *scene.Scene, algo kdtree.Algorithm) harness.RunConfig {
+	key := sc.Name + "/" + algo.String()
+	if c, ok := tunedCache.Load(key); ok {
+		return c.(harness.RunConfig)
+	}
+	rc := benchRun(sc, algo)
+	tune := rc
+	tune.Search, tune.MaxIterations, tune.Seed = harness.SearchNelderMead, 40, 7
+	tuned := mapped(b, rc, harness.Run(tune).TunedParams)
+	tunedCache.Store(key, tuned)
+	return tuned
+}
+
+// frame executes one Figure-4 frame of rc's base vector: rebuild the tree,
+// render.
+func frame(sc *scene.Scene, frameIdx int, rc harness.RunConfig) {
 	tris := sc.Triangles(frameIdx)
-	tree := kdtree.Build(tris, cfg)
-	renderFrame(tree, sc)
+	tree := kdtree.Build(tris, rc.Base)
+	Render(tree, sc.View, sc.Lights, RenderOptions{
+		Width: rc.Width, Height: rc.Height,
+		PacketWidth: rc.PacketWidth, TileSize: rc.TileSize,
+	})
 }
 
 func renderFrame(tree *kdtree.Tree, sc *scene.Scene) {
@@ -89,24 +102,30 @@ func BenchmarkTableI(b *testing.B) {
 	}
 }
 
+// tableIIRegistry registers the paper's Table II search space over the
+// given targets.
+func tableIIRegistry(b *testing.B, ci, cb, s, r *int) *TunableRegistry {
+	reg := NewTunableRegistry()
+	for _, tn := range []Tunable{
+		{Name: "CI", Target: ci, Min: 3, Max: 101, Step: 1},
+		{Name: "CB", Target: cb, Min: 0, Max: 60, Step: 1},
+		{Name: "S", Target: s, Min: 1, Max: 8, Step: 1},
+		{Name: "R", Target: r, Min: 16, Max: 8192, Scale: ScalePow2},
+	} {
+		if err := reg.Register(tn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return reg
+}
+
 // BenchmarkTableII measures the per-cycle overhead of the online tuner over
 // the Table-II search space — the paper's "little runtime overhead" claim.
 // The tuned region is a no-op, so ns/op is pure tuner cost.
 func BenchmarkTableII(b *testing.B) {
 	tuner := NewTuner(TunerOptions{Seed: 1})
 	var ci, cb, s, r int
-	reg := NewTunableRegistry()
-	for _, tn := range []Tunable{
-		{Name: "CI", Target: &ci, Min: 3, Max: 101, Step: 1},
-		{Name: "CB", Target: &cb, Min: 0, Max: 60, Step: 1},
-		{Name: "S", Target: &s, Min: 1, Max: 8, Step: 1},
-		{Name: "R", Target: &r, Min: 16, Max: 8192, Scale: ScalePow2},
-	} {
-		if err := reg.Register(tn); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tuner.RegisterAll(reg); err != nil {
+	if err := tuner.RegisterAll(tableIIRegistry(b, &ci, &cb, &s, &r)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -124,16 +143,16 @@ func BenchmarkFigure5(b *testing.B) {
 		sc := cachedScene(b, name)
 		for _, algo := range kdtree.Algorithms {
 			b.Run(fmt.Sprintf("%s/%s/base", name, algo), func(b *testing.B) {
-				cfg := kdtree.BaseConfig(algo)
+				rc := mapped(b, benchRun(sc, algo), nil)
 				for i := 0; i < b.N; i++ {
-					frame(sc, i%sc.Frames, cfg)
+					frame(sc, i%sc.Frames, rc)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/%s/tuned", name, algo), func(b *testing.B) {
-				cfg := tunedConfig(b, sc, algo)
+				rc := tunedConfig(b, sc, algo)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					frame(sc, i%sc.Frames, cfg)
+					frame(sc, i%sc.Frames, rc)
 				}
 			})
 		}
@@ -147,13 +166,11 @@ func BenchmarkFigure6(b *testing.B) {
 		sc := cachedScene(b, name)
 		for _, algo := range kdtree.Algorithms {
 			b.Run(fmt.Sprintf("%s/%s", name, algo), func(b *testing.B) {
-				base := harness.MeasureFixed(harness.RunConfig{
-					Scene: sc, Algorithm: algo, Width: 96, Height: 72,
-				}, 5)
-				cfg := tunedConfig(b, sc, algo)
+				base := harness.MeasureFixed(benchRun(sc, algo), 5)
+				rc := tunedConfig(b, sc, algo)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					frame(sc, i%sc.Frames, cfg)
+					frame(sc, i%sc.Frames, rc)
 				}
 				b.StopTimer()
 				tuned := b.Elapsed() / time.Duration(max(1, b.N))
@@ -186,10 +203,9 @@ func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tuner := NewTuner(TunerOptions{Seed: int64(i + 1)})
 		var ci, cb, s, r int
-		_ = tuner.RegisterNamedParameter("CI", &ci, 3, 101, 1)
-		_ = tuner.RegisterNamedParameter("CB", &cb, 0, 60, 1)
-		_ = tuner.RegisterNamedParameter("S", &s, 1, 8, 1)
-		_ = tuner.RegisterPow2Parameter("R", &r, 16, 8192)
+		if err := tuner.RegisterAll(tableIIRegistry(b, &ci, &cb, &s, &r)); err != nil {
+			b.Fatal(err)
+		}
 		for iter := 0; iter < 300 && !tuner.Converged(); iter++ {
 			tuner.Start()
 			cost := math.Abs(float64(ci)-40)/40 + math.Abs(float64(cb)-15)/15 +
@@ -208,32 +224,27 @@ func BenchmarkFigure9(b *testing.B) {
 	sc := cachedScene(b, "WoodDoll")
 	algo := kdtree.AlgoInPlace
 
-	configs := map[string]kdtree.Config{
-		"default": kdtree.BaseConfig(algo),
-	}
+	configs := map[string]harness.RunConfig{}
 	var once sync.Once
 	prepare := func(b *testing.B) {
 		once.Do(func() {
+			configs["default"] = mapped(b, benchRun(sc, algo), nil)
 			configs["nelder-mead"] = tunedConfig(b, sc, algo)
 			res := harness.Run(harness.RunConfig{
 				Scene: sc, Algorithm: algo, Search: harness.SearchExhaustive,
 				ExhaustiveStrides: []int{25, 20, 4},
 				Width:             64, Height: 48, MaxIterations: 1 << 20, PostConverge: 1,
 			})
-			configs["exhaustive"] = kdtree.Config{
-				Algorithm: algo,
-				CI:        float64(res.BestCI), CB: float64(res.BestCB),
-				S: res.BestS, R: res.BestR,
-			}
+			configs["exhaustive"] = mapped(b, benchRun(sc, algo), res.TunedParams)
 		})
 	}
 	for _, policy := range []string{"default", "nelder-mead", "exhaustive"} {
 		b.Run(policy, func(b *testing.B) {
 			prepare(b)
-			cfg := configs[policy]
+			rc := configs[policy]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				frame(sc, i%sc.Frames, cfg)
+				frame(sc, i%sc.Frames, rc)
 			}
 		})
 	}
@@ -357,8 +368,18 @@ func BenchmarkSeedCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tuner := NewTuner(TunerOptions{Seed: int64(i + 1), SeedSamples: seeds})
 				var x, y int
-				_ = tuner.RegisterNamedParameter("x", &x, 0, 100, 1)
-				_ = tuner.RegisterNamedParameter("y", &y, 0, 100, 1)
+				reg := NewTunableRegistry()
+				for _, tn := range []Tunable{
+					{Name: "x", Target: &x, Min: 0, Max: 100, Step: 1},
+					{Name: "y", Target: &y, Min: 0, Max: 100, Step: 1},
+				} {
+					if err := reg.Register(tn); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tuner.RegisterAll(reg); err != nil {
+					b.Fatal(err)
+				}
 				for iter := 0; iter < 150 && !tuner.Converged(); iter++ {
 					tuner.Start()
 					dx, dy := float64(x-70), float64(y-30)

@@ -320,29 +320,31 @@ func measureFile(path string, opts harness.Opts) ([]harness.SpeedupCell, error) 
 		if !found {
 			return nil, fmt.Errorf("row %d: unknown algorithm %q", ri+1, row[1])
 		}
-		nums := make([]int, 4)
-		for i := 0; i < 4; i++ {
+		params := map[string]int{}
+		for i, name := range []string{"CI", "CB", "S", "R"} {
 			n, err := strconv.Atoi(strings.TrimSpace(row[2+i]))
 			if err != nil {
 				return nil, fmt.Errorf("row %d: %v", ri+1, err)
 			}
-			nums[i] = n
+			// R is a tunable of the lazy builder only; the other builders
+			// ignore the column.
+			if name != "R" || algo.HasR() {
+				params[name] = n
+			}
 		}
 		rc := harness.RunConfig{
 			Scene: sc, Algorithm: algo, Workers: opts.Workers,
 			Width: opts.Width, Height: opts.Width * 3 / 4,
 		}
 		base := harness.MeasureFixed(rc, frames)
-		rc.Base = kdtree.Config{
-			Algorithm: algo,
-			CI:        float64(nums[0]), CB: float64(nums[1]), S: nums[2], R: nums[3],
-			Workers: opts.Workers,
+		tunedRC, err := rc.WithParams(params)
+		if err != nil {
+			return nil, fmt.Errorf("row %d: %v", ri+1, err)
 		}
-		tuned := harness.MeasureFixed(rc, frames)
+		tuned := harness.MeasureFixed(tunedRC, frames)
 		cell := harness.SpeedupCell{
 			Scene: sc.Name, Algorithm: algo, Base: base, Tuned: tuned,
-			TunedCI: nums[0], TunedCB: nums[1], TunedS: nums[2], TunedR: nums[3],
-			ConvergedAt: -1,
+			TunedParams: params, ConvergedAt: -1,
 		}
 		cells = append(cells, cell)
 		if opts.Progress != nil {

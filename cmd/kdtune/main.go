@@ -74,13 +74,25 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown search %q", *search))
 	}
-	if err := applyParamOverrides(&rc, algo, *params); err != nil {
+	overrides, err := parseParams(*params)
+	if err != nil {
 		fail(err)
+	}
+	if rc, err = rc.WithParams(overrides); err != nil {
+		fail(fmt.Errorf("-params: %w", err))
 	}
 
 	fmt.Printf("tuning %s with the %s builder (%s search)\n", sc, algo, *search)
-	base := harness.MeasureFixed(rc, 5)
-	fmt.Printf("base configuration C=(17,10,3,4096): median frame %v\n\n", base.Round(time.Millisecond))
+	fixed := rc
+	fixed.Search, fixed.MaxIterations = harness.SearchFixed, 5
+	baseRun := harness.Run(fixed)
+	totals := make([]time.Duration, len(baseRun.Frames))
+	for i, f := range baseRun.Frames {
+		totals[i] = f.Total
+	}
+	base := harness.MedianDuration(totals)
+	fmt.Printf("base configuration [%s]: median frame %v\n\n",
+		autotune.FormatParams(baseRun.TunedParams, baseRun.ParamNames), base.Round(time.Millisecond))
 
 	res := harness.Run(rc)
 	for _, f := range res.Frames {
@@ -88,49 +100,21 @@ func main() {
 		if res.ConvergedAt >= 0 && f.Iteration == res.ConvergedAt {
 			marker = "   <- converged"
 		}
+		vec := make(map[string]int, len(f.Params))
+		for i, name := range res.ParamNames {
+			vec[name] = f.Params[i]
+		}
 		fmt.Printf("iter %3d  frame %3d  [%s]  build %8s  render %8s  total %8s  speedup %.2fx%s\n",
-			f.Iteration, f.FrameIndex, formatVector(res.ParamNames, f.Params),
+			f.Iteration, f.FrameIndex, autotune.FormatParams(vec, res.ParamNames),
 			f.Build.Round(time.Millisecond), f.Render.Round(time.Millisecond),
 			f.Total.Round(time.Millisecond),
 			float64(base)/float64(f.Total), marker)
 	}
 
 	fmt.Printf("\nbest configuration [%s], steady-state frame %v, speedup %.2fx\n",
-		formatNamed(res.ParamNames, res.TunedParams),
+		autotune.FormatParams(res.TunedParams, res.ParamNames),
 		res.BestTotal.Round(time.Millisecond),
 		float64(base)/float64(res.BestTotal))
-}
-
-// formatVector renders a positional parameter vector as name=value pairs in
-// registration order.
-func formatVector(names []string, values []int) string {
-	var b strings.Builder
-	for i, name := range names {
-		if i >= len(values) {
-			break
-		}
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, values[i])
-	}
-	return b.String()
-}
-
-// formatNamed renders a name-keyed vector in registration order.
-func formatNamed(names []string, values map[string]int) string {
-	var b strings.Builder
-	for _, name := range names {
-		v, ok := values[name]
-		if !ok {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, v)
-	}
-	return b.String()
 }
 
 // printParamTable renders the full tunable registry of one run as a markdown
@@ -154,56 +138,26 @@ func printParamTable(w *os.File, algo kdtree.Algorithm) error {
 	return nil
 }
 
-// applyParamOverrides parses "name=value,..." and writes each value into the
-// run's base configuration through the registry, so a deliberately
-// non-default vector (CI smoke legs, experiments) rides the same named
-// mechanism as the tuner.
-func applyParamOverrides(rc *harness.RunConfig, algo kdtree.Algorithm, spec string) error {
+// parseParams parses "name=value,..." into a named vector. Names and
+// ranges are checked by RunConfig.WithParams, the same mapping every tuned
+// vector takes back onto a run.
+func parseParams(spec string) (map[string]int, error) {
+	params := map[string]int{}
 	if spec == "" {
-		return nil
-	}
-	if rc.Base.CI == 0 {
-		rc.Base = kdtree.BaseConfig(algo)
-	}
-	vars := harness.TunedVars{
-		CI: int(rc.Base.CI), CB: int(rc.Base.CB), S: rc.Base.S, R: rc.Base.R,
-		Bins: rc.Base.Bins, ScatterGrain: rc.Base.ScatterGrain,
-		BinGrain: rc.Base.BinGrain, SplitBias: rc.Base.SplitBias,
-		PacketWidth: rc.PacketWidth, TileSize: rc.TileSize,
-	}
-	reg, err := harness.ComposeRegistry(algo, &vars)
-	if err != nil {
-		return err
+		return params, nil
 	}
 	for _, kv := range strings.Split(spec, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return fmt.Errorf("-params: %q is not name=value", kv)
-		}
-		tn, found := reg.Lookup(name)
-		if !found {
-			return fmt.Errorf("-params: unknown tunable %q (see -list-params)", name)
+			return nil, fmt.Errorf("-params: %q is not name=value", kv)
 		}
 		v, err := strconv.Atoi(val)
 		if err != nil {
-			return fmt.Errorf("-params: %s: %v", name, err)
+			return nil, fmt.Errorf("-params: %s: %v", name, err)
 		}
-		if v < tn.Min || v > tn.Max {
-			return fmt.Errorf("-params: %s=%d outside [%d, %d]", name, v, tn.Min, tn.Max)
-		}
-		*tn.Target = v
+		params[name] = v
 	}
-	rc.Base.CI = float64(vars.CI)
-	rc.Base.CB = float64(vars.CB)
-	rc.Base.S = vars.S
-	rc.Base.R = vars.R
-	rc.Base.Bins = vars.Bins
-	rc.Base.ScatterGrain = vars.ScatterGrain
-	rc.Base.BinGrain = vars.BinGrain
-	rc.Base.SplitBias = vars.SplitBias
-	rc.PacketWidth = vars.PacketWidth
-	rc.TileSize = vars.TileSize
-	return nil
+	return params, nil
 }
 
 func fail(err error) {

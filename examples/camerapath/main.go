@@ -39,7 +39,7 @@ func main() {
 	})
 
 	fmt.Println("scene:", sc, "with a 2-phase camera path (nave sweep, then occluded close-up)")
-	res := kdtune.RunExperiment(kdtune.RunConfig{
+	rc := kdtune.RunConfig{
 		Scene:     sc,
 		Algorithm: kdtune.AlgoLazy,
 		Search:    kdtune.SearchNelderMead,
@@ -47,8 +47,14 @@ func main() {
 		MaxIterations:   60,
 		Seed:            5,
 		RetuneThreshold: 1.5, RetuneWindow: 4,
-	})
+	}
+	res := kdtune.RunExperiment(rc)
 
+	// Every frame records the full named vector in res.ParamNames order.
+	dim := map[string]int{}
+	for i, name := range res.ParamNames {
+		dim[name] = i
+	}
 	for i, f := range res.Frames {
 		if i%6 != 0 {
 			continue
@@ -58,11 +64,22 @@ func main() {
 			phase = "occluded   "
 		}
 		fmt.Printf("iter %2d  frame %2d  %s C=(%3d,%2d,%d,%4d)  total %8s\n",
-			f.Iteration, f.FrameIndex, phase, f.CI, f.CB, f.S, f.R,
-			f.Total.Round(time.Millisecond))
+			f.Iteration, f.FrameIndex, phase, f.Params[dim["CI"]], f.Params[dim["CB"]],
+			f.Params[dim["S"]], f.Params[dim["R"]], f.Total.Round(time.Millisecond))
 	}
-	fmt.Printf("\nbest configuration found: C=(%d,%d,%d,%d)\n",
-		res.BestCI, res.BestCB, res.BestS, res.BestR)
+	tp := res.TunedParams
+	fmt.Printf("\nbest configuration found: C=(%d,%d,%d,%d), packets P=%d T=%d\n",
+		tp["CI"], tp["CB"], tp["S"], tp["R"], tp["P"], tp["T"])
+
+	// Re-measure the tuned vector on its own: WithParams maps it back onto a
+	// fixed run over the same camera path.
+	fixed, err := rc.WithParams(tp)
+	if err != nil {
+		panic(err)
+	}
+	fixed.Search, fixed.MaxIterations = kdtune.SearchFixed, frames
+	fmt.Printf("re-measured over the camera path: occluded-phase median frame %s\n",
+		kdtune.RunExperiment(fixed).BestTotal.Round(time.Millisecond))
 	fmt.Println("note how the occluded phase favours large R (lazier trees):")
 	fmt.Println("rays never reach most of the cathedral, so unbuilt subtrees are free.")
 }

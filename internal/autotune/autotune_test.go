@@ -26,27 +26,62 @@ func driveTuner(t *Tuner, cost func(vals []int) float64, maxIters int, targets .
 	return maxIters
 }
 
+// linear and pow2 describe test tunables on the two grid scales.
+func linear(name string, v *int, min, max, step int) Tunable {
+	return Tunable{Name: name, Target: v, Min: min, Max: max, Step: step}
+}
+
+func pow2(name string, v *int, min, max int) Tunable {
+	return Tunable{Name: name, Target: v, Min: min, Max: max, Scale: ScalePow2}
+}
+
+// tableII is the paper's four-dimensional search space (CI, CB, S, R).
+func tableII(ci, cb, s, r *int) []Tunable {
+	return []Tunable{
+		linear("CI", ci, 3, 101, 1), linear("CB", cb, 0, 60, 1),
+		linear("S", s, 1, 8, 1), pow2("R", r, 16, 8192),
+	}
+}
+
+// registryOf registers the tunables in order, failing the test on error.
+func registryOf(t testing.TB, tns ...Tunable) *Registry {
+	t.Helper()
+	reg := NewRegistry()
+	for _, tn := range tns {
+		if err := reg.Register(tn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// newTuner returns a Nelder–Mead tuner over the given tunables.
+func newTuner(t testing.TB, opts Options, tns ...Tunable) *Tuner {
+	t.Helper()
+	tn := New(opts)
+	if err := tn.RegisterAll(registryOf(t, tns...)); err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
 func TestRegisterValidation(t *testing.T) {
-	tn := New(Options{Seed: 1})
 	var v int
-	if err := tn.RegisterParameter(&v, 5, 1, 1); err == nil {
-		t.Fatal("empty range accepted")
+	reg := NewRegistry()
+	for _, bad := range []Tunable{
+		linear("empty-range", &v, 5, 1, 1),
+		linear("negative-step", &v, 1, 5, -1),
+		linear("nil-target", nil, 1, 5, 1),
+		pow2("inverted-pow2", &v, 8192, 16),
+	} {
+		if err := reg.Register(bad); err == nil {
+			t.Fatalf("invalid tunable %q accepted", bad.Name)
+		}
 	}
-	if err := tn.RegisterParameter(&v, 1, 5, 0); err == nil {
-		t.Fatal("zero step accepted")
-	}
-	if err := tn.RegisterParameter(nil, 1, 5, 1); err == nil {
-		t.Fatal("nil target accepted")
-	}
-	if err := tn.RegisterPow2Parameter("r", &v, 8192, 16); err == nil {
-		t.Fatal("inverted pow2 range accepted")
-	}
-	if err := tn.RegisterParameter(&v, 1, 5, 1); err != nil {
-		t.Fatalf("valid registration rejected: %v", err)
-	}
+	tn := newTuner(t, Options{Seed: 1}, linear("v", &v, 1, 5, 1))
 	tn.Start()
 	tn.StopWithCost(1)
-	if err := tn.RegisterParameter(&v, 1, 5, 1); err == nil {
+	if err := tn.RegisterAll(registryOf(t, linear("w", &v, 1, 5, 1))); err == nil {
 		t.Fatal("registration after tuning started accepted")
 	}
 }
@@ -78,14 +113,8 @@ func TestIntervalValues(t *testing.T) {
 }
 
 func TestTunerAppliesValuesWithinBounds(t *testing.T) {
-	tn := New(Options{Seed: 7})
 	var a, b int
-	if err := tn.RegisterParameter(&a, 3, 101, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.RegisterPow2Parameter("r", &b, 16, 8192); err != nil {
-		t.Fatal(err)
-	}
+	tn := newTuner(t, Options{Seed: 7}, linear("a", &a, 3, 101, 1), pow2("r", &b, 16, 8192))
 	for i := 0; i < 200; i++ {
 		tn.Start()
 		if a < 3 || a > 101 {
@@ -99,11 +128,8 @@ func TestTunerAppliesValuesWithinBounds(t *testing.T) {
 }
 
 func TestConvergesOnConvexQuadratic1D(t *testing.T) {
-	tn := New(Options{Seed: 3})
 	var n int
-	if err := tn.RegisterParameter(&n, 1, 64, 1); err != nil {
-		t.Fatal(err)
-	}
+	tn := newTuner(t, Options{Seed: 3}, linear("n", &n, 1, 64, 1))
 	cost := func(vals []int) float64 {
 		d := float64(vals[0] - 23)
 		return 100 + d*d
@@ -128,20 +154,8 @@ func TestConvergesOnConvexQuadratic4D(t *testing.T) {
 	opt := []int{40, 20, 5, 256}
 	var costs []float64
 	for seed := int64(1); seed <= 5; seed++ {
-		tn := New(Options{Seed: seed})
 		var ci, cb, s, r int
-		if err := tn.RegisterNamedParameter("CI", &ci, 3, 101, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.RegisterNamedParameter("CB", &cb, 0, 60, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.RegisterNamedParameter("S", &s, 1, 8, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.RegisterPow2Parameter("R", &r, 16, 8192); err != nil {
-			t.Fatal(err)
-		}
+		tn := newTuner(t, Options{Seed: seed}, tableII(&ci, &cb, &s, &r)...)
 		cost := func(v []int) float64 {
 			c := 0.0
 			for i, o := range opt {
@@ -169,12 +183,8 @@ func TestConvergenceSpeedIsPaperLike(t *testing.T) {
 	// multiple of that on a smooth cost surface for most seeds.
 	within := 0
 	for seed := int64(1); seed <= 10; seed++ {
-		tn := New(Options{Seed: seed})
 		var ci, cb, s, r int
-		_ = tn.RegisterNamedParameter("CI", &ci, 3, 101, 1)
-		_ = tn.RegisterNamedParameter("CB", &cb, 0, 60, 1)
-		_ = tn.RegisterNamedParameter("S", &s, 1, 8, 1)
-		_ = tn.RegisterPow2Parameter("R", &r, 16, 8192)
+		tn := newTuner(t, Options{Seed: seed}, tableII(&ci, &cb, &s, &r)...)
 		cost := func(v []int) float64 {
 			return math.Abs(float64(v[0])-30)/30 + math.Abs(float64(v[1])-15)/15 +
 				math.Abs(float64(v[2])-4)/4 + math.Abs(math.Log2(float64(v[3]))-8)
@@ -191,11 +201,8 @@ func TestConvergenceSpeedIsPaperLike(t *testing.T) {
 
 func TestNoisyMeasurementsStillImprove(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	tn := New(Options{Seed: 17})
 	var n int
-	if err := tn.RegisterParameter(&n, 1, 100, 1); err != nil {
-		t.Fatal(err)
-	}
+	tn := newTuner(t, Options{Seed: 17}, linear("n", &n, 1, 100, 1))
 	cost := func(vals []int) float64 {
 		d := float64(vals[0]-60) / 60
 		return (1 + d*d) * (1 + 0.05*rng.NormFloat64())
@@ -217,11 +224,8 @@ func TestBestNeverWorseThanFirstSample(t *testing.T) {
 		func(v []int) float64 { return float64((v[0] * 7919) % 101) }, // rough
 	}
 	for si, cost := range surfaces {
-		tn := New(Options{Seed: int64(si + 1)})
 		var n int
-		if err := tn.RegisterParameter(&n, 1, 100, 1); err != nil {
-			t.Fatal(err)
-		}
+		tn := newTuner(t, Options{Seed: int64(si + 1)}, linear("n", &n, 1, 100, 1))
 		var first float64
 		for i := 0; i < 150; i++ {
 			tn.Start()
@@ -239,9 +243,8 @@ func TestBestNeverWorseThanFirstSample(t *testing.T) {
 }
 
 func TestStartStopDiscipline(t *testing.T) {
-	tn := New(Options{Seed: 1})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 4, 1)
+	tn := newTuner(t, Options{Seed: 1}, linear("v", &v, 1, 4, 1))
 
 	func() {
 		defer func() {
@@ -288,7 +291,9 @@ func TestWallClockMeasurement(t *testing.T) {
 		return now
 	}})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 8, 1)
+	if err := tn.RegisterAll(registryOf(t, linear("v", &v, 1, 8, 1))); err != nil {
+		t.Fatal(err)
+	}
 	tn.Start()
 	tn.Stop()
 	if len(tn.History()) != 1 || tn.History()[0].Cost <= 0 {
@@ -297,9 +302,8 @@ func TestWallClockMeasurement(t *testing.T) {
 }
 
 func TestApplyBest(t *testing.T) {
-	tn := New(Options{Seed: 5})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 50, 1)
+	tn := newTuner(t, Options{Seed: 5}, linear("v", &v, 1, 50, 1))
 	if tn.ApplyBest() {
 		t.Fatal("ApplyBest before any measurement should report false")
 	}
@@ -317,9 +321,8 @@ func TestApplyBest(t *testing.T) {
 }
 
 func TestRetuneAdaptsToShiftedOptimum(t *testing.T) {
-	tn := New(Options{Seed: 11, RetuneThreshold: 1.5, RetuneWindow: 3})
 	var n int
-	_ = tn.RegisterParameter(&n, 1, 100, 1)
+	tn := newTuner(t, Options{Seed: 11, RetuneThreshold: 1.5, RetuneWindow: 3}, linear("n", &n, 1, 100, 1))
 
 	optimum := 20
 	cost := func(v int) float64 {
@@ -351,12 +354,8 @@ func TestRetuneAdaptsToShiftedOptimum(t *testing.T) {
 
 func TestExhaustiveVisitsWholeGrid(t *testing.T) {
 	var a, b int
-	tn, err := NewExhaustiveTuner(Options{Seed: 1}, func(t *Tuner) error {
-		if err := t.RegisterParameter(&a, 0, 4, 1); err != nil {
-			return err
-		}
-		return t.RegisterParameter(&b, 0, 2, 1)
-	}, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 1},
+		registryOf(t, linear("a", &a, 0, 4, 1), linear("b", &b, 0, 2, 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,9 +400,8 @@ func TestExhaustiveStrides(t *testing.T) {
 }
 
 func TestHistoryRecordsValuesNotIndices(t *testing.T) {
-	tn := New(Options{Seed: 2})
 	var r int
-	_ = tn.RegisterPow2Parameter("R", &r, 16, 8192)
+	tn := newTuner(t, Options{Seed: 2}, pow2("R", &r, 16, 8192))
 	tn.Start()
 	applied := r
 	tn.StopWithCost(1)
@@ -417,23 +415,20 @@ func TestHistoryRecordsValuesNotIndices(t *testing.T) {
 }
 
 func TestParamAccessors(t *testing.T) {
-	tn := New(Options{Seed: 2})
 	var v int
-	_ = tn.RegisterNamedParameter("CI", &v, 3, 101, 1)
+	tn := newTuner(t, Options{Seed: 2}, linear("CI", &v, 3, 101, 1))
 	ps := tn.Params()
 	if len(ps) != 1 || ps[0].Name() != "CI" || len(ps[0].Values()) != 99 {
 		t.Fatalf("Params() wrong: %+v", ps)
 	}
-	if ps[0].indexOf(3) != 0 || ps[0].indexOf(101) != 98 || ps[0].indexOf(-100) != 0 {
-		t.Fatal("indexOf wrong")
+	if vals := ps[0].Values(); vals[0] != 3 || vals[98] != 101 {
+		t.Fatalf("Values() = %v, want 3..101", vals)
 	}
 }
 
 func TestRandomSearchFindsGoodConfigs(t *testing.T) {
 	var x int
-	tn, err := NewRandomTuner(Options{Seed: 21}, func(t *Tuner) error {
-		return t.RegisterParameter(&x, 0, 1000, 1)
-	}, 100)
+	tn, err := NewRandomTuner(Options{Seed: 21}, registryOf(t, linear("x", &x, 0, 1000, 1)), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,15 +468,13 @@ func TestNelderMeadBeatsRandomOnSmoothSurface(t *testing.T) {
 			}
 			return c
 		}
-		register := func(t *Tuner) error {
+		space := func() *Registry {
 			var a, b, c, d int
-			targets := []*int{&a, &b, &c, &d}
-			for i, p := range targets {
-				if err := t.RegisterNamedParameter(fmt.Sprintf("p%d", i), p, 0, 100, 1); err != nil {
-					return err
-				}
+			var tns []Tunable
+			for i, p := range []*int{&a, &b, &c, &d} {
+				tns = append(tns, linear(fmt.Sprintf("p%d", i), p, 0, 100, 1))
 			}
-			return nil
+			return registryOf(t, tns...)
 		}
 		runFor := func(tn *Tuner) float64 {
 			for i := 0; i < budget; i++ {
@@ -497,12 +490,12 @@ func TestNelderMeadBeatsRandomOnSmoothSurface(t *testing.T) {
 		}
 
 		nm := New(Options{Seed: seed})
-		if err := register(nm); err != nil {
+		if err := nm.RegisterAll(space()); err != nil {
 			t.Fatal(err)
 		}
 		nmBest := runFor(nm)
 
-		rnd, err := NewRandomTuner(Options{Seed: seed}, register, budget)
+		rnd, err := NewRandomTuner(Options{Seed: seed}, space(), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,12 +515,8 @@ func TestNelderMeadBeatsRandomOnSmoothSurface(t *testing.T) {
 
 func TestExhaustiveWithPow2Parameter(t *testing.T) {
 	var ci, r int
-	tn, err := NewExhaustiveTuner(Options{Seed: 1}, func(t *Tuner) error {
-		if err := t.RegisterParameter(&ci, 3, 101, 14); err != nil {
-			return err
-		}
-		return t.RegisterPow2Parameter("R", &r, 16, 8192)
-	}, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 1},
+		registryOf(t, linear("CI", &ci, 3, 101, 14), pow2("R", &r, 16, 8192)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,9 +537,8 @@ func TestExhaustiveWithPow2Parameter(t *testing.T) {
 }
 
 func TestRetuneWithoutHistoryIsNoop(t *testing.T) {
-	tn := New(Options{Seed: 1})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 4, 1)
+	tn := newTuner(t, Options{Seed: 1}, linear("v", &v, 1, 4, 1))
 	tn.Retune() // no search yet: must not panic
 	if tn.Restarts() != 0 {
 		t.Fatal("retune counted without a search")
@@ -560,9 +548,8 @@ func TestRetuneWithoutHistoryIsNoop(t *testing.T) {
 func TestRetuneKeepsBestMeaningful(t *testing.T) {
 	// Regression test: Retune used to reset bestCost to +Inf while keeping
 	// the best indices, so Best() returned ok=true with cost=+Inf.
-	tn := New(Options{Seed: 7})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 50, 1)
+	tn := newTuner(t, Options{Seed: 7}, linear("v", &v, 1, 50, 1))
 	driveTuner(tn, func(vals []int) float64 {
 		d := float64(vals[0] - 30)
 		return 1 + d*d
@@ -603,9 +590,7 @@ func TestRetuneNoOpForNonRestartableSearch(t *testing.T) {
 	// Regression test: restarts must not be counted when the searcher
 	// cannot restart (only Nelder-Mead supports it).
 	var v int
-	tn, err := NewExhaustiveTuner(Options{Seed: 3}, func(t *Tuner) error {
-		return t.RegisterParameter(&v, 1, 4, 1)
-	}, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 3}, registryOf(t, linear("v", &v, 1, 4, 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

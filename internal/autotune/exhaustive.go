@@ -107,22 +107,14 @@ func (e *Exhaustive) Evaluations() int { return e.count }
 var _ searcher = (*Exhaustive)(nil)
 
 // NewExhaustiveTuner wraps an Exhaustive searcher in the Tuner Start/Stop
-// workflow so harness code can drive both searches identically.
-func NewExhaustiveTuner(opts Options, build func(t *Tuner) error, strides []int) (*Tuner, error) {
+// workflow so harness code can drive both searches identically: dimension i
+// of the walk is registry tunable i, and strides[i] (nil = full resolution)
+// coarsens it as in NewExhaustive.
+func NewExhaustiveTuner(opts Options, reg *Registry, strides []int) (*Tuner, error) {
 	t := New(opts)
-	if err := build(t); err != nil {
+	if err := t.RegisterAll(reg); err != nil {
 		return nil, err
 	}
 	t.search = NewExhaustive(t.params, strides)
 	return t, nil
-}
-
-// NewExhaustiveTunerFromRegistry composes the exhaustive grid directly from
-// a tunable registry: dimension i of the walk is registry tunable i, and
-// strides[i] (nil = full resolution) coarsens it exactly as in
-// NewExhaustiveTuner.
-func NewExhaustiveTunerFromRegistry(opts Options, reg *Registry, strides []int) (*Tuner, error) {
-	return NewExhaustiveTuner(opts, func(t *Tuner) error {
-		return t.RegisterAll(reg)
-	}, strides)
 }

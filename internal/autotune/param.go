@@ -5,10 +5,13 @@
 // configuration space with random sampling that seeds a Nelder–Mead simplex
 // search (§III-A).
 //
-// The client workflow matches the paper's Figure 1:
+// The client workflow matches the paper's Figure 1, with the program
+// variables registered by name through a Registry:
 //
-//	tuner := autotune.New()
-//	tuner.RegisterParameter(&n, min, max, step)
+//	reg := autotune.NewRegistry()
+//	reg.Register(autotune.Tunable{Name: "N", Target: &n, Min: min, Max: max, Step: step})
+//	tuner := autotune.New(autotune.Options{})
+//	tuner.RegisterAll(reg)
 //	for work() {
 //		tuner.Start() // applies the configuration under test
 //		doTunedWork(n)
@@ -46,21 +49,6 @@ func (p *Param) clampIndex(i int) int {
 		return len(p.values) - 1
 	}
 	return i
-}
-
-// indexOf returns the index of the value closest to v.
-func (p *Param) indexOf(v int) int {
-	best, bestDist := 0, -1
-	for i, pv := range p.values {
-		d := pv - v
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
 }
 
 // intervalValues enumerates min..max with the given stride.

@@ -64,11 +64,11 @@ func (r *RandomSearch) Evaluations() int { return r.count }
 
 var _ searcher = (*RandomSearch)(nil)
 
-// NewRandomTuner wraps a RandomSearch in the Tuner workflow, mirroring
-// NewExhaustiveTuner.
-func NewRandomTuner(opts Options, build func(t *Tuner) error, budget int) (*Tuner, error) {
+// NewRandomTuner wraps a RandomSearch over the registry's tunables in the
+// Tuner workflow, mirroring NewExhaustiveTuner.
+func NewRandomTuner(opts Options, reg *Registry, budget int) (*Tuner, error) {
 	t := New(opts)
-	if err := build(t); err != nil {
+	if err := t.RegisterAll(reg); err != nil {
 		return nil, err
 	}
 	t.search = NewRandomSearch(t.params, budget, t.rng)

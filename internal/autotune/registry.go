@@ -153,70 +153,53 @@ func (r *Registry) Vector() []int {
 	return v
 }
 
-// FormatVector renders a name-keyed vector as "name=value,..." in
-// registration order (names absent from the map are skipped), so traces and
-// compare output print configurations identically everywhere.
-func (r *Registry) FormatVector(values map[string]int) string {
-	out := make([]byte, 0, 16*len(r.tunables))
-	for _, tn := range r.tunables {
-		v, ok := values[tn.Name]
+// FormatParams renders a name-keyed vector as "name=value,..." — the one
+// formatter every trace, report and compare line prints configurations
+// with. Values are listed in the order of names, skipping names the map
+// lacks; nil names lists every key, sorted alphabetically.
+func FormatParams(values map[string]int, names []string) string {
+	if names == nil {
+		names = make([]string, 0, len(values))
+		for k := range values {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+	}
+	out := make([]byte, 0, 16*len(names))
+	for _, name := range names {
+		v, ok := values[name]
 		if !ok {
 			continue
 		}
 		if len(out) > 0 {
 			out = append(out, ',')
 		}
-		out = fmt.Appendf(out, "%s=%d", tn.Name, v)
-	}
-	return string(out)
-}
-
-// FormatParams renders an arbitrary name-keyed vector without a registry:
-// keys sort alphabetically. Used by report printers that only have the map.
-func FormatParams(values map[string]int) string {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]byte, 0, 16*len(keys))
-	for _, k := range keys {
-		if len(out) > 0 {
-			out = append(out, ',')
-		}
-		out = fmt.Appendf(out, "%s=%d", k, values[k])
+		out = fmt.Appendf(out, "%s=%d", name, v)
 	}
 	return string(out)
 }
 
 // RegisterAll registers every tunable of the registry with the tuner, in
-// registration order — the bridge between the subsystem-facing Registry and
-// the search: the composed parameter list defines the Nelder–Mead (or
-// exhaustive) search space.
+// registration order. It is the only way parameters enter a Tuner: the
+// composed parameter list defines the Nelder–Mead, exhaustive or random
+// search space, and several registries may be composed onto one tuner
+// before the first Start.
 func (t *Tuner) RegisterAll(reg *Registry) error {
+	if t.search != nil {
+		return fmt.Errorf("autotune: cannot register parameters after tuning started")
+	}
 	for _, tn := range reg.Tunables() {
-		if err := t.RegisterTunable(tn); err != nil {
+		vals, err := tn.Values()
+		if err != nil {
 			return err
 		}
+		t.params = append(t.params, &Param{name: tn.Name, target: tn.Target, values: vals})
 	}
 	return nil
 }
 
-// RegisterTunable registers a single tunable spec with the tuner.
-func (t *Tuner) RegisterTunable(tn Tunable) error {
-	vals, err := tn.Values()
-	if err != nil {
-		return err
-	}
-	if tn.Target == nil {
-		return fmt.Errorf("autotune: tunable %q has a nil target", tn.Name)
-	}
-	return t.register(tn.Name, tn.Target, vals)
-}
-
 // BestByName returns the tuner's best-known configuration as a name-keyed
-// map. ok is false before the first completed cycle. Parameters registered
-// without a name keep their synthetic "paramN" names.
+// map. ok is false before the first completed cycle.
 func (t *Tuner) BestByName() (map[string]int, bool) {
 	values, _, ok := t.Best()
 	if !ok {

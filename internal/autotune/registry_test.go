@@ -91,11 +91,14 @@ func TestRegistryOrderAndLookup(t *testing.T) {
 	if want := []int{1, 2, 3}; !reflect.DeepEqual(reg.Vector(), want) {
 		t.Fatalf("Vector = %v, want %v", reg.Vector(), want)
 	}
-	if got, want := reg.FormatVector(snap), "ci=1,grain=2,bias=3"; got != want {
-		t.Fatalf("FormatVector = %q, want %q", got, want)
+	if got, want := FormatParams(snap, reg.Names()), "ci=1,grain=2,bias=3"; got != want {
+		t.Fatalf("FormatParams in registry order = %q, want %q", got, want)
 	}
-	if got, want := FormatParams(snap), "bias=3,ci=1,grain=2"; got != want {
-		t.Fatalf("FormatParams = %q, want %q", got, want)
+	if got, want := FormatParams(snap, []string{"bias", "missing", "ci"}), "bias=3,ci=1"; got != want {
+		t.Fatalf("FormatParams over a name subset = %q, want %q", got, want)
+	}
+	if got, want := FormatParams(snap, nil), "bias=3,ci=1,grain=2"; got != want {
+		t.Fatalf("FormatParams sorted = %q, want %q", got, want)
 	}
 }
 
@@ -174,7 +177,7 @@ func TestExhaustiveFromRegistry(t *testing.T) {
 	if err := reg.Register(Tunable{Name: "b", Target: &b, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
 		t.Fatal(err)
 	}
-	tn, err := NewExhaustiveTunerFromRegistry(Options{Seed: 1}, reg, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 1}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -49,8 +48,8 @@ type Options struct {
 }
 
 // Tuner is the online autotuner. It is not safe for concurrent use: the
-// client calls RegisterParameter during setup, then alternates Start/Stop
-// around the region being tuned (Figure 1).
+// client registers its tunables with RegisterAll during setup, then
+// alternates Start/Stop around the region being tuned (Figure 1).
 type Tuner struct {
 	opts   Options
 	params []*Param
@@ -96,52 +95,6 @@ func New(opts Options) *Tuner {
 		bestCost:      math.Inf(1),
 		incumbentCost: math.Inf(1),
 	}
-}
-
-// RegisterParameter registers the integer variable at v for tuning over the
-// closed interval [min, max] with the given stride — the paper's
-// RegisterParameter(&N, min, max, step). Must be called before the first
-// Start.
-func (t *Tuner) RegisterParameter(v *int, min, max, step int) error {
-	vals, err := intervalValues(min, max, step)
-	if err != nil {
-		return err
-	}
-	return t.register("", v, vals)
-}
-
-// RegisterNamedParameter is RegisterParameter with a diagnostic name that
-// shows up in History dumps and harness reports.
-func (t *Tuner) RegisterNamedParameter(name string, v *int, min, max, step int) error {
-	vals, err := intervalValues(min, max, step)
-	if err != nil {
-		return err
-	}
-	return t.register(name, v, vals)
-}
-
-// RegisterPow2Parameter registers a variable constrained to powers of two
-// in [min, max], as the paper's τ_R = [16, 8192] (Table II).
-func (t *Tuner) RegisterPow2Parameter(name string, v *int, min, max int) error {
-	vals, err := pow2Values(min, max)
-	if err != nil {
-		return err
-	}
-	return t.register(name, v, vals)
-}
-
-func (t *Tuner) register(name string, v *int, values []int) error {
-	if t.search != nil {
-		return fmt.Errorf("autotune: cannot register parameters after tuning started")
-	}
-	if v == nil {
-		return fmt.Errorf("autotune: nil parameter target")
-	}
-	if name == "" {
-		name = fmt.Sprintf("param%d", len(t.params))
-	}
-	t.params = append(t.params, &Param{name: name, target: v, values: values})
-	return nil
 }
 
 // Params returns the registered parameters in registration order.

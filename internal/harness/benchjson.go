@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"runtime"
@@ -114,25 +115,15 @@ type BenchResult struct {
 	Rend  BenchStat `json:"tuned_render"`
 
 	// TunedParams is the full named tuned vector (CI, CB, S, R, B, G, GB,
-	// SB, P, T — see RunResult.TunedParams). The individual Tuned* fields
-	// below are legacy projections of it, still written so old reports and
-	// old readers keep comparing; -compare prefers the map when both sides
-	// carry one.
+	// SB, P, T — see RunResult.TunedParams). -compare gates a cell's tuned
+	// time only when both reports carry equal vectors.
 	TunedParams map[string]int `json:"tuned_params,omitempty"`
 
-	TunedCI     int     `json:"tuned_ci"`
-	TunedCB     int     `json:"tuned_cb"`
-	TunedS      int     `json:"tuned_s"`
-	TunedR      int     `json:"tuned_r"`
 	ConvergedAt int     `json:"converged_at"` // -1 = never
 	Speedup     float64 `json:"speedup"`      // base median / tuned median
 
-	// Render-side tuned parameters (packet width, tile size) and the
-	// demotion rate (demoted lanes / packet rays) observed during the tuned
-	// measurement frames. Zero TunedP marks a report from before these were
-	// tunable; -compare then skips the render-config equality requirement.
-	TunedP       int     `json:"tuned_packet,omitempty"`
-	TunedT       int     `json:"tuned_tile,omitempty"`
+	// DemotionRate is the demoted lanes / packet rays ratio observed during
+	// the tuned measurement frames.
 	DemotionRate float64 `json:"demotion_rate,omitempty"`
 
 	// Steady-state allocation profile of one rebuild under the tuned
@@ -294,12 +285,9 @@ func RunBench(o BenchOptions) *BenchReport {
 			tune.MaxIterations = s.MaxIterations
 			run := Run(tune)
 
-			tuned := rc
-			tuned.Base = run.BestConfig()
-			tuned.PacketWidth = run.BestP
-			tuned.TileSize = run.BestT
+			tuned := rc.mustWithParams(run.TunedParams)
 			frame, build, rend, tunedRes := measureStats(tuned, s)
-			allocsB, bytesB, gcMS := measureBuildAllocs(sc, run.BestConfig())
+			allocsB, bytesB, gcMS := measureBuildAllocs(sc, tuned.Base)
 			abortedB := baseRes.AbortedBuilds + run.AbortedBuilds + tunedRes.AbortedBuilds
 			fallbackF := baseRes.FallbackFrames + run.FallbackFrames + tunedRes.FallbackFrames
 
@@ -315,10 +303,7 @@ func RunBench(o BenchOptions) *BenchReport {
 				Scene: sc.Name, Algorithm: algo.String(),
 				Triangles: sc.NumTriangles(), Dynamic: sc.IsDynamic(),
 				Base: baseFrame, Frame: frame, Build: build, Rend: rend,
-				TunedParams: run.TunedParams,
-				TunedCI:     run.BestCI, TunedCB: run.BestCB,
-				TunedS: run.BestS, TunedR: run.BestR,
-				TunedP: run.BestP, TunedT: run.BestT,
+				TunedParams:    run.TunedParams,
 				DemotionRate:   demRate,
 				ConvergedAt:    run.ConvergedAt,
 				Speedup:        speedup,
@@ -329,7 +314,7 @@ func RunBench(o BenchOptions) *BenchReport {
 			if o.Progress != nil {
 				fmt.Fprintf(o.Progress, "bench %-12s %-10s base %.2fms tuned %.2fms (%.2fx) cfg=[%s]\n",
 					res.Scene, res.Algorithm, res.Base.MedianMS, res.Frame.MedianMS,
-					res.Speedup, autotune.FormatParams(res.TunedParams))
+					res.Speedup, autotune.FormatParams(res.TunedParams, run.ParamNames))
 			}
 		}
 	}
@@ -503,7 +488,7 @@ func CompareBenchReports(old, new *BenchReport, thresholdPct float64) CompareRes
 			phase("render", o.Rend, n.Rend)
 		} else {
 			c.TunedSkipped = append(c.TunedSkipped, fmt.Sprintf("%s [%s] -> [%s]",
-				o.Key(), formatTunedConfig(o), formatTunedConfig(n)))
+				o.Key(), autotune.FormatParams(o.TunedParams, nil), autotune.FormatParams(n.TunedParams, nil)))
 		}
 	}
 	sort.Slice(c.Regressions, func(i, j int) bool { return c.Regressions[i].Pct > c.Regressions[j].Pct })
@@ -520,39 +505,12 @@ func CompareBenchReports(old, new *BenchReport, thresholdPct float64) CompareRes
 }
 
 // sameTunedConfig decides whether two cells' tuned measurements measured the
-// same work. When both reports carry the full named vector, the maps must be
+// same work: both must carry the full named vector, and the vectors must be
 // equal — any dimension moving (a different bin count, a different grain)
-// makes the medians incomparable. Reports from before tuned_params fall back
-// to the legacy field rule: equal tree parameters, and equal render
-// parameters when both sides carry them (zero TunedP marks a report from
-// before the render tunables existed).
+// makes the medians incomparable. A cell without tuned_params never counts
+// as the same configuration.
 func sameTunedConfig(o, n BenchResult) bool {
-	if len(o.TunedParams) > 0 && len(n.TunedParams) > 0 {
-		if len(o.TunedParams) != len(n.TunedParams) {
-			return false
-		}
-		for k, v := range o.TunedParams {
-			nv, ok := n.TunedParams[k]
-			if !ok || nv != v {
-				return false
-			}
-		}
-		return true
-	}
-	sameTree := o.TunedCI == n.TunedCI && o.TunedCB == n.TunedCB &&
-		o.TunedS == n.TunedS && o.TunedR == n.TunedR
-	sameRender := o.TunedP == 0 || n.TunedP == 0 ||
-		(o.TunedP == n.TunedP && o.TunedT == n.TunedT)
-	return sameTree && sameRender
-}
-
-// formatTunedConfig renders a cell's tuned configuration for the skip list:
-// the full named vector when present, the legacy tuple otherwise.
-func formatTunedConfig(r BenchResult) string {
-	if len(r.TunedParams) > 0 {
-		return autotune.FormatParams(r.TunedParams)
-	}
-	return fmt.Sprintf("%d,%d,%d,%d,P%d,T%d", r.TunedCI, r.TunedCB, r.TunedS, r.TunedR, r.TunedP, r.TunedT)
+	return len(o.TunedParams) > 0 && maps.Equal(o.TunedParams, n.TunedParams)
 }
 
 // Format renders the comparison for humans.

@@ -39,8 +39,9 @@ func syntheticReport(tag string, frameMS map[string]float64) *BenchReport {
 		parts := strings.SplitN(key, "/", 2)
 		rep.Results = append(rep.Results, BenchResult{
 			Scene: parts[0], Algorithm: parts[1],
-			Frame: BenchStat{MedianMS: ms, N: 9},
-			Base:  BenchStat{MedianMS: ms * 1.3, N: 9},
+			Frame:       BenchStat{MedianMS: ms, N: 9},
+			Base:        BenchStat{MedianMS: ms * 1.3, N: 9},
+			TunedParams: map[string]int{"CI": 17, "CB": 10, "S": 3, "P": 1, "T": 16},
 		})
 	}
 	return rep
@@ -125,7 +126,7 @@ func TestCompareBenchReports(t *testing.T) {
 		})
 		for i := range new.Results {
 			if new.Results[i].Key() == "Sponza/in-place" {
-				new.Results[i].TunedCI = 42
+				new.Results[i].TunedParams["CI"] = 42
 				new.Results[i].Base = BenchStat{MedianMS: 13, N: 9} // = old's base (10 × 1.3)
 			}
 		}
@@ -192,6 +193,28 @@ func TestCompareBenchReports(t *testing.T) {
 			t.Fatalf("format output lacks REGRESSION/MISSING lines:\n%s", out)
 		}
 	})
+
+	t.Run("cell without tuned_params is never the same config", func(t *testing.T) {
+		// A report from before the named vector existed carries no
+		// tuned_params: its tuned median cannot be matched to any vector,
+		// on either side of the comparison.
+		for _, side := range []string{"old", "new", "both"} {
+			o := syntheticReport("old", map[string]float64{"Sponza/in-place": 10})
+			n := syntheticReport("new", map[string]float64{"Sponza/in-place": 30})
+			if side != "new" {
+				o.Results[0].TunedParams = nil
+			}
+			if side != "old" {
+				n.Results[0].TunedParams = nil
+			}
+			n.Results[0].Base = o.Results[0].Base
+			c := CompareBenchReports(o, n, 10)
+			if !c.OK() || len(c.TunedSkipped) != 1 {
+				t.Fatalf("%s side without tuned_params: OK=%v skipped=%v regressions=%+v",
+					side, c.OK(), c.TunedSkipped, c.Regressions)
+			}
+		}
+	})
 }
 
 // TestRunBenchSmall runs the full protocol at a tiny scale on one scene and
@@ -224,8 +247,8 @@ func TestRunBenchSmall(t *testing.T) {
 	if r.Frame.MedianMS <= 0 || r.Speedup <= 0 {
 		t.Errorf("degenerate stats: %+v", r)
 	}
-	if r.TunedCI < CIMin || r.TunedCI > CIMax {
-		t.Errorf("tuned CI %d outside [%d, %d]", r.TunedCI, CIMin, CIMax)
+	if ci := r.TunedParams["CI"]; ci < CIMin || ci > CIMax {
+		t.Errorf("tuned CI %d outside [%d, %d]", ci, CIMin, CIMax)
 	}
 	// The allocation probe runs on a warm Builder: the counters must be
 	// finite and non-negative, and the steady state of the pooled arenas

@@ -5,31 +5,43 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // CSV export of experiment results, so the figures can be re-plotted with
 // external tooling without re-running the (expensive) measurements.
 
-// WriteSpeedupCSV dumps Figure 5/6 cells: one row per (scene, algorithm).
+// speedupCSVParams are the tuned dimensions WriteSpeedupCSV reports, one
+// tuned_<name> column each: the paper's Table II parameters.
+var speedupCSVParams = []string{"CI", "CB", "S", "R"}
+
+// WriteSpeedupCSV dumps Figure 5/6 cells: one row per (scene, algorithm). A
+// dimension the cell's builder does not have (R outside the lazy builder)
+// is an empty field.
 func WriteSpeedupCSV(w io.Writer, cells []SpeedupCell) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"scene", "algorithm", "base_seconds", "tuned_seconds", "speedup",
-		"tuned_ci", "tuned_cb", "tuned_s", "tuned_r", "converged_at",
-	}); err != nil {
+	header := []string{"scene", "algorithm", "base_seconds", "tuned_seconds", "speedup"}
+	for _, name := range speedupCSVParams {
+		header = append(header, "tuned_"+strings.ToLower(name))
+	}
+	if err := cw.Write(append(header, "converged_at")); err != nil {
 		return err
 	}
 	for _, c := range cells {
-		err := cw.Write([]string{
+		row := []string{
 			c.Scene, c.Algorithm.String(),
 			fmt.Sprintf("%.6f", c.Base.Seconds()),
 			fmt.Sprintf("%.6f", c.Tuned.Seconds()),
 			fmt.Sprintf("%.4f", c.Speedup()),
-			strconv.Itoa(c.TunedCI), strconv.Itoa(c.TunedCB),
-			strconv.Itoa(c.TunedS), strconv.Itoa(c.TunedR),
-			strconv.Itoa(c.ConvergedAt),
-		})
-		if err != nil {
+		}
+		for _, name := range speedupCSVParams {
+			field := ""
+			if v, ok := c.TunedParams[name]; ok {
+				field = strconv.Itoa(v)
+			}
+			row = append(row, field)
+		}
+		if err := cw.Write(append(row, strconv.Itoa(c.ConvergedAt))); err != nil {
 			return err
 		}
 	}
@@ -68,32 +80,6 @@ func WriteConvergenceCSV(w io.Writer, pts []ConvergencePoint) error {
 	}
 	for _, p := range pts {
 		if err := cw.Write([]string{strconv.Itoa(p.Iteration), fmt.Sprintf("%.4f", p.MeanSpeedup)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteFramesCSV dumps the raw per-frame trace of a run, the most granular
-// experiment artefact (configuration under test + timings per cycle).
-func WriteFramesCSV(w io.Writer, frames []FrameRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"iteration", "frame", "ci", "cb", "s", "r",
-		"build_seconds", "render_seconds", "total_seconds",
-	}); err != nil {
-		return err
-	}
-	for _, f := range frames {
-		err := cw.Write([]string{
-			strconv.Itoa(f.Iteration), strconv.Itoa(f.FrameIndex),
-			strconv.Itoa(f.CI), strconv.Itoa(f.CB), strconv.Itoa(f.S), strconv.Itoa(f.R),
-			fmt.Sprintf("%.6f", f.Build.Seconds()),
-			fmt.Sprintf("%.6f", f.Render.Seconds()),
-			fmt.Sprintf("%.6f", f.Total.Seconds()),
-		})
-		if err != nil {
 			return err
 		}
 	}

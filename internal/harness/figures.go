@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"kdtune/internal/autotune"
 	"kdtune/internal/kdtree"
 	"kdtune/internal/scene"
 )
@@ -54,12 +55,12 @@ func (o Opts) logf(format string, args ...any) {
 // SpeedupCell is one (scene, algorithm) measurement: the data behind both
 // Figure 5 (absolute times) and Figure 6 (speedups).
 type SpeedupCell struct {
-	Scene                            string
-	Algorithm                        kdtree.Algorithm
-	Base                             time.Duration // median frame time, base configuration
-	Tuned                            time.Duration // median steady-state frame time after tuning
-	TunedCI, TunedCB, TunedS, TunedR int
-	ConvergedAt                      int
+	Scene       string
+	Algorithm   kdtree.Algorithm
+	Base        time.Duration  // median frame time, base configuration
+	Tuned       time.Duration  // median frame time of the re-measured tuned vector
+	TunedParams map[string]int // the tuned vector (RunResult.TunedParams)
+	ConvergedAt int
 }
 
 // Speedup returns base/tuned.
@@ -93,26 +94,21 @@ func SpeedupExperiment(sceneNames []string, algos []kdtree.Algorithm, o Opts) ([
 			res := Run(rcNM)
 
 			// The paper's speedup compares m_a(C_tuned) against
-			// m_a(C_base): re-measure the tuned configuration under the
-			// same fixed protocol as the base, so exploration frames and
-			// lucky-noise incumbent selection cannot contaminate the
-			// numerator.
-			tuned := MeasureFixed(RunConfig{
-				Scene: rc.Scene, Algorithm: algo, Workers: rc.Workers,
-				Width: rc.Width, Height: rc.Height,
-				Base: res.BestConfig(),
-			}, o.BaseFrames)
+			// m_a(C_base): re-measure the tuned vector under the same fixed
+			// protocol as the base, so exploration frames and lucky-noise
+			// incumbent selection cannot contaminate the numerator.
+			tuned := MeasureFixed(rc.mustWithParams(res.TunedParams), o.BaseFrames)
 
 			cell := SpeedupCell{
 				Scene: name, Algorithm: algo,
 				Base: base, Tuned: tuned,
-				TunedCI: res.BestCI, TunedCB: res.BestCB, TunedS: res.BestS, TunedR: res.BestR,
+				TunedParams: res.TunedParams,
 				ConvergedAt: res.ConvergedAt,
 			}
 			out = append(out, cell)
-			o.logf("%-12s %-10s base %8s tuned %8s speedup %.2fx (conv @%d, C=(%d,%d,%d,%d))",
+			o.logf("%-12s %-10s base %8s tuned %8s speedup %.2fx (conv @%d, [%s])",
 				name, algo, base.Round(time.Millisecond), cell.Tuned.Round(time.Millisecond),
-				cell.Speedup(), cell.ConvergedAt, cell.TunedCI, cell.TunedCB, cell.TunedS, cell.TunedR)
+				cell.Speedup(), cell.ConvergedAt, autotune.FormatParams(res.TunedParams, res.ParamNames))
 		}
 	}
 	return out, nil
@@ -206,11 +202,14 @@ func distributionForScene(sc *scene.Scene, label string, algo kdtree.Algorithm, 
 			Workers: workers, Width: o.Width, Height: o.Height,
 			MaxIterations: o.MaxIterations, Seed: o.Seed + int64(rep),
 		})
-		cis = append(cis, Normalize01(float64(res.BestCI), CIMin, CIMax))
-		cbs = append(cbs, Normalize01(float64(res.BestCB), CBMin, CBMax))
-		ss = append(ss, Normalize01(float64(res.BestS), SMin, SMax))
-		rs = append(rs, NormalizeLog2(float64(res.BestR), RMin, RMax))
-		o.logf("fig7 %-16s rep %2d -> C=(%d,%d,%d,%d)", label, rep, res.BestCI, res.BestCB, res.BestS, res.BestR)
+		tp := res.TunedParams
+		cis = append(cis, Normalize01(float64(tp["CI"]), CIMin, CIMax))
+		cbs = append(cbs, Normalize01(float64(tp["CB"]), CBMin, CBMax))
+		ss = append(ss, Normalize01(float64(tp["S"]), SMin, SMax))
+		if algo.HasR() {
+			rs = append(rs, NormalizeLog2(float64(tp["R"]), RMin, RMax))
+		}
+		o.logf("fig7 %-16s rep %2d -> [%s]", label, rep, autotune.FormatParams(tp, res.ParamNames))
 	}
 	out := []ParamDistribution{
 		{Label: label, Param: "CI", Summary: Summarize(cis)},
@@ -319,7 +318,7 @@ func CompareSearches(sceneName string, algos []kdtree.Algorithm, strides []int, 
 		}
 
 		// (a) default configuration distribution.
-		defTimes := measureConfigTimes(rc, kdtree.BaseConfig(algo), o.BaseFrames)
+		defTimes := measureConfigTimes(rc, o.BaseFrames)
 
 		// (b) repeated NM optimisations; each contributes its steady-state
 		// frame time.
@@ -329,9 +328,9 @@ func CompareSearches(sceneName string, algos []kdtree.Algorithm, strides []int, 
 			rcNM.Search = SearchNelderMead
 			rcNM.Seed = o.Seed + int64(rep)
 			res := Run(rcNM)
-			// Re-measure the found configuration under the fixed protocol
-			// (see SpeedupExperiment for why).
-			times := measureConfigTimes(rc, res.BestConfig(), o.BaseFrames)
+			// Re-measure the found vector under the fixed protocol (see
+			// SpeedupExperiment for why).
+			times := measureConfigTimes(rc.mustWithParams(res.TunedParams), o.BaseFrames)
 			med := Summarize(times).Median
 			nmTimes = append(nmTimes, med)
 			o.logf("fig9 %-10s NM rep %2d -> %.4fs", algo, rep, med)
@@ -341,10 +340,10 @@ func CompareSearches(sceneName string, algos []kdtree.Algorithm, strides []int, 
 		rcEx := rc
 		rcEx.Search = SearchExhaustive
 		rcEx.ExhaustiveStrides = strides
-		rcEx.MaxIterations = 1 << 30 // bounded by the grid size below
-		ex := newExhaustiveRun(rcEx, o)
-		exTimes := measureConfigTimes(rc, ex, o.BaseFrames)
-		o.logf("fig9 %-10s exhaustive best C=(%v,%v,%v,%v)", algo, ex.CI, ex.CB, ex.S, ex.R)
+		rcEx.MaxIterations = 1 << 30 // bounded by the grid size
+		ex := Run(rcEx)
+		exTimes := measureConfigTimes(rc.mustWithParams(ex.TunedParams), o.BaseFrames)
+		o.logf("fig9 %-10s exhaustive best [%s]", algo, autotune.FormatParams(ex.TunedParams, ex.ParamNames))
 
 		out = append(out, SearchComparison{
 			Algorithm:  algo,
@@ -356,23 +355,9 @@ func CompareSearches(sceneName string, algos []kdtree.Algorithm, strides []int, 
 	return out, nil
 }
 
-// newExhaustiveRun walks the (strided) grid once and returns the best
-// configuration found.
-func newExhaustiveRun(rc RunConfig, o Opts) kdtree.Config {
-	res := Run(rc)
-	return kdtree.Config{
-		Algorithm: rc.Algorithm,
-		CI:        float64(res.BestCI),
-		CB:        float64(res.BestCB),
-		S:         res.BestS,
-		R:         res.BestR,
-	}
-}
-
-// measureConfigTimes measures `frames` frame times under a fixed config.
-func measureConfigTimes(rc RunConfig, cfg kdtree.Config, frames int) []float64 {
+// measureConfigTimes measures `frames` frame times of rc's base vector.
+func measureConfigTimes(rc RunConfig, frames int) []float64 {
 	rc.Search = SearchFixed
-	rc.Base = cfg
 	rc.MaxIterations = frames
 	res := Run(rc)
 	out := make([]float64, len(res.Frames))

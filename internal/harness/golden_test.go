@@ -46,13 +46,13 @@ func goldenCells() []SpeedupCell {
 	return []SpeedupCell{
 		{Scene: "Sponza", Algorithm: kdtree.AlgoNodeLevel,
 			Base: 42500 * time.Microsecond, Tuned: 31300 * time.Microsecond,
-			TunedCI: 35, TunedCB: 12, TunedS: 4, TunedR: 256, ConvergedAt: 38},
+			TunedParams: map[string]int{"CI": 35, "CB": 12, "S": 4, "R": 256}, ConvergedAt: 38},
 		{Scene: "Sponza", Algorithm: kdtree.AlgoLazy,
 			Base: 880 * time.Microsecond, Tuned: 910 * time.Microsecond,
-			TunedCI: 17, TunedCB: 10, TunedS: 3, TunedR: 4096, ConvergedAt: -1},
+			TunedParams: map[string]int{"CI": 17, "CB": 10, "S": 3, "R": 4096}, ConvergedAt: -1},
 		{Scene: "Toasters", Algorithm: kdtree.AlgoInPlace,
 			Base: 12 * time.Millisecond, Tuned: 6 * time.Millisecond,
-			TunedCI: 80, TunedCB: 0, TunedS: 8, TunedR: 16, ConvergedAt: 51},
+			TunedParams: map[string]int{"CI": 80, "CB": 0, "S": 8, "R": 16}, ConvergedAt: 51},
 	}
 }
 
@@ -75,15 +75,6 @@ func goldenConvergence() []ConvergencePoint {
 	}
 }
 
-func goldenFrames() []FrameRecord {
-	return []FrameRecord{
-		{Iteration: 0, FrameIndex: 0, CI: 17, CB: 10, S: 3, R: 4096,
-			Build: 1500 * time.Microsecond, Render: 3500 * time.Microsecond, Total: 5 * time.Millisecond},
-		{Iteration: 1, FrameIndex: 1, CI: 33, CB: 0, S: 1, R: 16,
-			Build: 900 * time.Microsecond, Render: 4100 * time.Microsecond, Total: 5 * time.Millisecond},
-	}
-}
-
 func TestGoldenCSV(t *testing.T) {
 	cases := []struct {
 		file  string
@@ -92,7 +83,6 @@ func TestGoldenCSV(t *testing.T) {
 		{"speedup.csv", func(b *bytes.Buffer) error { return WriteSpeedupCSV(b, goldenCells()) }},
 		{"distribution.csv", func(b *bytes.Buffer) error { return WriteDistributionCSV(b, goldenDistributions()) }},
 		{"convergence.csv", func(b *bytes.Buffer) error { return WriteConvergenceCSV(b, goldenConvergence()) }},
-		{"frames.csv", func(b *bytes.Buffer) error { return WriteFramesCSV(b, goldenFrames()) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {

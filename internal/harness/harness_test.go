@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,15 @@ func tinyDynamic(frames int) *scene.Scene {
 	}}, nil)
 }
 
+// frameVector names a frame's parameter vector.
+func frameVector(res *RunResult, f FrameRecord) map[string]int {
+	m := make(map[string]int, len(f.Params))
+	for i, name := range res.ParamNames {
+		m[name] = f.Params[i]
+	}
+	return m
+}
+
 func fastOpts() Opts {
 	return Opts{
 		Workers: 4, Width: 32, Height: 24,
@@ -62,8 +72,8 @@ func TestRunFixedRecordsFrames(t *testing.T) {
 		t.Fatalf("recorded %d frames, want 5", len(res.Frames))
 	}
 	for _, f := range res.Frames {
-		if f.CI != 17 || f.CB != 10 || f.S != 3 || f.R != 4096 {
-			t.Fatalf("fixed run drifted from base config: %+v", f)
+		if v := frameVector(res, f); v["CI"] != 17 || v["CB"] != 10 || v["S"] != 3 {
+			t.Fatalf("fixed run drifted from base config: %v", v)
 		}
 		if f.Total <= 0 || f.Build <= 0 {
 			t.Fatalf("non-positive timings: %+v", f)
@@ -72,8 +82,8 @@ func TestRunFixedRecordsFrames(t *testing.T) {
 			t.Fatalf("static scene should stay on frame 0, got %d", f.FrameIndex)
 		}
 	}
-	if res.BestCI != 17 || res.BestR != 4096 {
-		t.Fatalf("fixed run best config wrong: %+v", res)
+	if tp := res.TunedParams; tp["CI"] != 17 || tp["CB"] != 10 || tp["S"] != 3 {
+		t.Fatalf("fixed run best config wrong: %v", tp)
 	}
 }
 
@@ -87,12 +97,13 @@ func TestRunNelderMeadStaysInBounds(t *testing.T) {
 		t.Fatal("no frames")
 	}
 	for _, f := range res.Frames {
-		if f.CI < CIMin || f.CI > CIMax || f.CB < CBMin || f.CB > CBMax ||
-			f.S < SMin || f.S > SMax || f.R < RMin || f.R > RMax {
-			t.Fatalf("configuration escaped Table II ranges: %+v", f)
+		v := frameVector(res, f)
+		if v["CI"] < CIMin || v["CI"] > CIMax || v["CB"] < CBMin || v["CB"] > CBMax ||
+			v["S"] < SMin || v["S"] > SMax || v["R"] < RMin || v["R"] > RMax {
+			t.Fatalf("configuration escaped Table II ranges: %v", v)
 		}
-		if f.R&(f.R-1) != 0 {
-			t.Fatalf("R=%d not a power of two", f.R)
+		if v["R"]&(v["R"]-1) != 0 {
+			t.Fatalf("R=%d not a power of two", v["R"])
 		}
 	}
 	if res.BestTotal <= 0 {
@@ -106,10 +117,11 @@ func TestRunNonLazyDoesNotTuneR(t *testing.T) {
 		Search: SearchNelderMead, Workers: 2, Width: 24, Height: 18,
 		MaxIterations: 10, Seed: 5,
 	})
-	for _, f := range res.Frames {
-		if f.R != 4096 {
-			t.Fatalf("R changed on a non-lazy algorithm: %+v", f)
-		}
+	if slices.Contains(res.ParamNames, "R") {
+		t.Fatalf("R registered for a non-lazy algorithm: %v", res.ParamNames)
+	}
+	if _, ok := res.TunedParams["R"]; ok {
+		t.Fatalf("R reported for a non-lazy algorithm: %v", res.TunedParams)
 	}
 }
 
@@ -267,7 +279,7 @@ func TestSpeedupExperimentSmoke(t *testing.T) {
 	if c.Base <= 0 || c.Tuned <= 0 {
 		t.Fatalf("missing timings: %+v", c)
 	}
-	if c.TunedCI < CIMin || c.TunedCI > CIMax {
+	if ci := c.TunedParams["CI"]; ci < CIMin || ci > CIMax {
 		t.Fatalf("tuned CI out of range: %+v", c)
 	}
 
@@ -403,7 +415,11 @@ func TestCSVWriters(t *testing.T) {
 	cells := []SpeedupCell{{
 		Scene: "Sibenik", Algorithm: kdtree.AlgoLazy,
 		Base: 200 * time.Millisecond, Tuned: 100 * time.Millisecond,
-		TunedCI: 40, TunedCB: 5, TunedS: 2, TunedR: 512, ConvergedAt: 33,
+		TunedParams: map[string]int{"CI": 40, "CB": 5, "S": 2, "R": 512, "B": 32}, ConvergedAt: 33,
+	}, {
+		Scene: "Sibenik", Algorithm: kdtree.AlgoNested,
+		Base: 200 * time.Millisecond, Tuned: 100 * time.Millisecond,
+		TunedParams: map[string]int{"CI": 40, "CB": 5, "S": 2}, ConvergedAt: -1,
 	}}
 	if err := WriteSpeedupCSV(&buf, cells); err != nil {
 		t.Fatal(err)
@@ -411,6 +427,10 @@ func TestCSVWriters(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "Sibenik,lazy,0.200000,0.100000,2.0000,40,5,2,512,33") {
 		t.Fatalf("speedup CSV wrong:\n%s", out)
+	}
+	// R is not a dimension of the nested builder: its field stays empty.
+	if !strings.Contains(out, "Sibenik,nested,0.200000,0.100000,2.0000,40,5,2,,-1") {
+		t.Fatalf("speedup CSV invents R for a non-lazy builder:\n%s", out)
 	}
 
 	buf.Reset()
@@ -429,16 +449,5 @@ func TestCSVWriters(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "3,1.2500") {
 		t.Fatalf("convergence CSV wrong:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	if err := WriteFramesCSV(&buf, []FrameRecord{{
-		Iteration: 1, FrameIndex: 0, CI: 17, CB: 10, S: 3, R: 4096,
-		Build: 50 * time.Millisecond, Render: 25 * time.Millisecond, Total: 75 * time.Millisecond,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "1,0,17,10,3,4096,0.050000,0.025000,0.075000") {
-		t.Fatalf("frames CSV wrong:\n%s", buf.String())
 	}
 }

@@ -3,7 +3,10 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"sort"
+	"strings"
 	"time"
 
 	"kdtune/internal/autotune"
@@ -106,13 +109,10 @@ type RunConfig struct {
 
 // FrameRecord is the measurement of one frame (one Start/Stop cycle).
 type FrameRecord struct {
-	Iteration    int
-	FrameIndex   int
-	CI, CB, S, R int
-	P, T         int // packet width and tile size the frame rendered with
+	Iteration  int
+	FrameIndex int
 	// Params is the full registered parameter vector the frame ran with, in
-	// RunResult.ParamNames order — the generic form of the legacy fields
-	// above, covering the substrate tunables (B, G, GB, SB) too.
+	// RunResult.ParamNames order: the tree, substrate and render tunables.
 	Params []int
 	Build  time.Duration
 	Render time.Duration
@@ -125,21 +125,19 @@ type FrameRecord struct {
 
 // RunResult aggregates a run.
 type RunResult struct {
-	Config                       RunConfig
-	Frames                       []FrameRecord
-	ConvergedAt                  int // iteration index of convergence, -1 if never
-	Restarts                     int // drift-triggered search restarts (§V-D4)
-	AbortedBuilds                int // guarded builds stopped by a Guard limit
-	FallbackFrames               int // frames rendered from the median-split fallback tree
-	BestCI, BestCB, BestS, BestR int
-	BestP, BestT                 int // best packet width / tile size (base values unless co-tuned)
-	BestTotal                    time.Duration
+	Config         RunConfig
+	Frames         []FrameRecord
+	ConvergedAt    int // iteration index of convergence, -1 if never
+	Restarts       int // drift-triggered search restarts (§V-D4)
+	AbortedBuilds  int // guarded builds stopped by a Guard limit
+	FallbackFrames int // frames rendered from the median-split fallback tree
+	BestTotal      time.Duration
 
 	// ParamNames names every registered tunable of the run in registration
 	// order (the dimension order of FrameRecord.Params), and TunedParams is
 	// the full named best-found vector — tuned dimensions carry the search
-	// optimum, untuned ones their base values. The legacy Best* fields above
-	// are projections of TunedParams kept for existing consumers.
+	// optimum, untuned ones their base values. RunConfig.WithParams turns
+	// TunedParams back into a runnable configuration.
 	ParamNames  []string
 	TunedParams map[string]int
 
@@ -333,6 +331,53 @@ func ComposeRegistry(algo kdtree.Algorithm, v *TunedVars) (*autotune.Registry, e
 	return reg, nil
 }
 
+// WithParams returns rc set up to run the named tuning vector params as its
+// base configuration. It is the one mapping from a name→value vector (a
+// RunResult.TunedParams, a kdtune -params override) back onto a runnable
+// configuration. Every name must be a tunable ComposeRegistry registers for
+// rc.Algorithm — R only for the lazy builder — and every value must lie in
+// that tunable's [Min, Max]. Names params omits keep rc's base values, so
+// an empty map yields the base vector. The result has rc's defaults filled
+// in (as Run would); run it under SearchFixed to measure the vector.
+func (rc RunConfig) WithParams(params map[string]int) (RunConfig, error) {
+	rc = rc.normalize()
+	vars := newTunedVars(rc)
+	reg, err := ComposeRegistry(rc.Algorithm, &vars)
+	if err != nil {
+		return rc, err
+	}
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names) // the same vector always fails on the same name
+	for _, name := range names {
+		v := params[name]
+		tn, ok := reg.Lookup(name)
+		if !ok {
+			return rc, fmt.Errorf("harness: the %v builder has no tunable %q (tunables: %s)",
+				rc.Algorithm, name, strings.Join(reg.Names(), ","))
+		}
+		if v < tn.Min || v > tn.Max {
+			return rc, fmt.Errorf("harness: %s=%d outside [%d, %d]", name, v, tn.Min, tn.Max)
+		}
+		*tn.Target = v
+	}
+	rc.Base = vars.buildConfig(rc)
+	rc.PacketWidth, rc.TileSize = vars.PacketWidth, vars.TileSize
+	return rc, nil
+}
+
+// mustWithParams is WithParams for a vector Run itself reported: every name
+// and value came from the same registry, so a failure is a harness bug.
+func (rc RunConfig) mustWithParams(params map[string]int) RunConfig {
+	rc, err := rc.WithParams(params)
+	if err != nil {
+		panic(err)
+	}
+	return rc
+}
+
 // Run executes the Figure 4 workflow: per frame, apply the configuration
 // under test, rebuild the kD-tree for the frame's geometry, render, and
 // report total frame time (m_a = t_c + t_r) to the search. Builds run
@@ -356,6 +401,9 @@ func Run(rc RunConfig) *RunResult {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
 	res.ParamNames = fullReg.Names()
+	// The targets still hold the base vector: it is what untuned dimensions
+	// report as their best-found value.
+	res.TunedParams = fullReg.Snapshot()
 
 	var tuner *autotune.Tuner
 	switch rc.Search {
@@ -380,7 +428,7 @@ func Run(rc RunConfig) *RunResult {
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
-		tuner, err = autotune.NewExhaustiveTunerFromRegistry(autotune.Options{Seed: rc.Seed}, treeReg, rc.ExhaustiveStrides)
+		tuner, err = autotune.NewExhaustiveTuner(autotune.Options{Seed: rc.Seed}, treeReg, rc.ExhaustiveStrides)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
@@ -477,8 +525,6 @@ func Run(rc RunConfig) *RunResult {
 		}
 		res.Frames = append(res.Frames, FrameRecord{
 			Iteration: iter, FrameIndex: frame,
-			CI: vars.CI, CB: vars.CB, S: vars.S, R: vars.R,
-			P: vars.PacketWidth, T: vars.TileSize,
 			Params: fullReg.Vector(),
 			Build:  tBuild, Render: total - tBuild, Total: total,
 			Aborted: aborted,
@@ -505,29 +551,14 @@ func Run(rc RunConfig) *RunResult {
 
 	// The best-found vector: tuned dimensions carry the search optimum;
 	// dimensions the search never moved (everything under SearchFixed, the
-	// substrate/render dimensions under SearchExhaustive) stay at their base
-	// values, which is what the current targets hold for them.
-	base := newTunedVars(rc)
-	baseReg, err := ComposeRegistry(rc.Algorithm, &base)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	tp := baseReg.Snapshot()
+	// substrate/render dimensions under SearchExhaustive) keep the base
+	// values snapshotted before the loop.
 	if tuner != nil {
 		res.Restarts = tuner.Restarts()
 		if best, ok := tuner.BestByName(); ok {
-			for k, v := range best {
-				tp[k] = v
-			}
+			maps.Copy(res.TunedParams, best)
 		}
 	}
-	res.TunedParams = tp
-	res.BestCI, res.BestCB, res.BestS = tp["CI"], tp["CB"], tp["S"]
-	res.BestR = rc.Base.R
-	if rc.Algorithm.HasR() {
-		res.BestR = tp["R"]
-	}
-	res.BestP, res.BestT = tp["P"], tp["T"]
 	res.BestTotal = res.SteadyStateTime()
 	return res
 }
@@ -543,27 +574,6 @@ func frameSequence(rc RunConfig) func(iter int) int {
 	return func(iter int) int {
 		return (iter % total) / rc.RepeatFrames
 	}
-}
-
-// BestConfig assembles the run's best-found parameters into a build
-// configuration, including the tuned substrate fields (bins, grains, split
-// bias) when the run carried them.
-func (r *RunResult) BestConfig() kdtree.Config {
-	cfg := kdtree.Config{
-		Algorithm: r.Config.Algorithm,
-		CI:        float64(r.BestCI),
-		CB:        float64(r.BestCB),
-		S:         r.BestS,
-		R:         r.BestR,
-		Workers:   r.Config.Workers,
-	}
-	if r.TunedParams != nil {
-		cfg.Bins = r.TunedParams["B"]
-		cfg.ScatterGrain = r.TunedParams["G"]
-		cfg.BinGrain = r.TunedParams["GB"]
-		cfg.SplitBias = r.TunedParams["SB"]
-	}
-	return cfg
 }
 
 // SteadyStateTime returns the median frame time of the run's last third —

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,40 +80,54 @@ func TestSpeedupTraceEdges(t *testing.T) {
 	}
 }
 
-func TestBestConfigEdges(t *testing.T) {
+// TestWithParams pins the one mapping from a named vector back onto a
+// runnable configuration: names and ranges come from ComposeRegistry, R is a
+// tunable of the lazy builder only, and names the vector omits keep the base
+// values.
+func TestWithParams(t *testing.T) {
 	cases := []struct {
-		name string
-		res  RunResult
-		want kdtree.Config
+		name    string
+		algo    kdtree.Algorithm
+		params  map[string]int
+		wantErr string           // error substring; "" expects success
+		edit    func(*RunConfig) // the vector's edits of the normalized base
 	}{
-		{
-			"zero-value result yields zero parameters",
-			RunResult{},
-			kdtree.Config{},
-		},
-		{
-			"best parameters and run identity are carried over",
-			RunResult{
-				Config: RunConfig{Algorithm: kdtree.AlgoLazy, Workers: 3},
-				BestCI: 42, BestCB: 7, BestS: 5, BestR: 1024,
-			},
-			kdtree.Config{Algorithm: kdtree.AlgoLazy, CI: 42, CB: 7, S: 5, R: 1024, Workers: 3},
-		},
-		{
-			"frames and convergence metadata do not leak into the config",
-			RunResult{
-				Config:      RunConfig{Algorithm: kdtree.AlgoNested},
-				Frames:      framesWithTotals(time.Millisecond),
-				ConvergedAt: 17, Restarts: 2,
-				BestCI: CIMin, BestCB: CBMax, BestS: SMin, BestR: RMax,
-			},
-			kdtree.Config{Algorithm: kdtree.AlgoNested, CI: CIMin, CB: CBMax, S: SMin, R: RMax},
-		},
+		{"empty map gives the base vector", kdtree.AlgoInPlace, map[string]int{}, "", nil},
+		{"nil map gives the base vector", kdtree.AlgoLazy, nil, "", nil},
+		{"unknown name", kdtree.AlgoInPlace, map[string]int{"CI": 20, "Q": 1}, `no tunable "Q"`, nil},
+		{"value below Min", kdtree.AlgoInPlace, map[string]int{"CI": CIMin - 1}, "CI=2 outside [3, 101]", nil},
+		{"value above Max", kdtree.AlgoNested, map[string]int{"P": PMax + 1}, "P=17 outside [1, 16]", nil},
+		{"R on a non-lazy builder", kdtree.AlgoNodeLevel, map[string]int{"R": 256}, `no tunable "R"`, nil},
+		{"R on the lazy builder", kdtree.AlgoLazy, map[string]int{"R": 256}, "",
+			func(rc *RunConfig) { rc.Base.R = 256 }},
+		{"every dimension reaches build and render", kdtree.AlgoInPlace, map[string]int{
+			"CI": 40, "CB": 5, "S": 2, "B": 64, "G": 512, "GB": 1024, "SB": 2, "P": 8, "T": 32,
+		}, "", func(rc *RunConfig) {
+			rc.Base.CI, rc.Base.CB, rc.Base.S = 40, 5, 2
+			rc.Base.Bins, rc.Base.ScatterGrain, rc.Base.BinGrain, rc.Base.SplitBias = 64, 512, 1024, 2
+			rc.PacketWidth, rc.TileSize = 8, 32
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.res.BestConfig(); got != tc.want {
-				t.Errorf("BestConfig() = %+v, want %+v", got, tc.want)
+			rc := RunConfig{Algorithm: tc.algo, Workers: 3}
+			got, err := rc.WithParams(tc.params)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("WithParams(%v) error = %v, want one containing %q", tc.params, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rc.normalize()
+			if tc.edit != nil {
+				tc.edit(&want)
+			}
+			if got.Base != want.Base || got.PacketWidth != want.PacketWidth || got.TileSize != want.TileSize {
+				t.Errorf("WithParams(%v) = base %+v P=%d T=%d, want base %+v P=%d T=%d", tc.params,
+					got.Base, got.PacketWidth, got.TileSize, want.Base, want.PacketWidth, want.TileSize)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"kdtune/internal/autotune"
 	"kdtune/internal/kdtree"
 	"kdtune/internal/scene"
 )
@@ -18,10 +19,10 @@ import (
 
 // AlgorithmChoice is the outcome of tuning one algorithm during selection.
 type AlgorithmChoice struct {
-	Algorithm    kdtree.Algorithm
-	Tuned        time.Duration // steady-state frame time after tuning
-	CI, CB, S, R int
-	ConvergedAt  int
+	Algorithm   kdtree.Algorithm
+	Tuned       time.Duration  // frame time of the re-measured tuned vector
+	Params      map[string]int // the tuned vector (RunResult.TunedParams)
+	ConvergedAt int
 }
 
 // Selection is the result of SelectAlgorithm.
@@ -39,20 +40,17 @@ func SelectAlgorithm(sc *scene.Scene, o Opts) Selection {
 	o = o.normalize()
 	sel := Selection{Scene: sc.Name}
 	for _, algo := range kdtree.Algorithms {
-		res := Run(RunConfig{
+		rc := RunConfig{
 			Scene: sc, Algorithm: algo, Search: SearchNelderMead,
 			Workers: o.Workers, Width: o.Width, Height: o.Height,
 			MaxIterations: o.MaxIterations, Seed: o.Seed,
-		})
-		// Compare algorithms on re-measured tuned configurations, not on
+		}
+		res := Run(rc)
+		// Compare algorithms on re-measured tuned vectors, not on
 		// tuning-run tails (see SpeedupExperiment).
-		tuned := MeasureFixed(RunConfig{
-			Scene: sc, Algorithm: algo, Workers: o.Workers,
-			Width: o.Width, Height: o.Height, Base: res.BestConfig(),
-		}, o.BaseFrames)
+		tuned := MeasureFixed(rc.mustWithParams(res.TunedParams), o.BaseFrames)
 		choice := AlgorithmChoice{
-			Algorithm: algo, Tuned: tuned,
-			CI: res.BestCI, CB: res.BestCB, S: res.BestS, R: res.BestR,
+			Algorithm: algo, Tuned: tuned, Params: res.TunedParams,
 			ConvergedAt: res.ConvergedAt,
 		}
 		sel.Choices = append(sel.Choices, choice)
@@ -72,7 +70,7 @@ func PrintSelection(w io.Writer, sel Selection) {
 		if c.Algorithm == sel.Best.Algorithm {
 			marker = "*"
 		}
-		fmt.Fprintf(w, "%s %-10s %10s  C=(%d,%d,%d,%d)\n",
-			marker, c.Algorithm, c.Tuned.Round(100*time.Microsecond), c.CI, c.CB, c.S, c.R)
+		fmt.Fprintf(w, "%s %-10s %10s  [%s]\n",
+			marker, c.Algorithm, c.Tuned.Round(100*time.Microsecond), autotune.FormatParams(c.Params, nil))
 	}
 }

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"kdtune/internal/autotune"
 	"kdtune/internal/kdtree"
 	"kdtune/internal/render"
 )
@@ -53,9 +56,8 @@ func TestFramesDeterministicAcrossWorkersForRandomVectors(t *testing.T) {
 }
 
 // TestRunReportsFullNamedVector pins the report shape the registry refactor
-// exists for: a finished run names every registered dimension and carries a
-// complete name-keyed tuned vector, and the legacy Best* fields are
-// projections of that map, not an independent code path.
+// exists for: a finished run names every registered dimension, carries a
+// complete name-keyed tuned vector, and records the full vector per frame.
 func TestRunReportsFullNamedVector(t *testing.T) {
 	res := Run(RunConfig{
 		Scene: tinyScene(), Algorithm: kdtree.AlgoInPlace,
@@ -71,21 +73,10 @@ func TestRunReportsFullNamedVector(t *testing.T) {
 			t.Errorf("TunedParams missing %q: %v", name, res.TunedParams)
 		}
 	}
-	if got, want := res.BestCI, res.TunedParams["CI"]; got != want {
-		t.Errorf("BestCI = %d, want TunedParams[CI] = %d", got, want)
-	}
-	if got, want := res.BestP, res.TunedParams["P"]; got != want {
-		t.Errorf("BestP = %d, want TunedParams[P] = %d", got, want)
-	}
 	for _, f := range res.Frames {
 		if len(f.Params) != len(res.ParamNames) {
 			t.Fatalf("frame %d records %d params, want %d", f.Iteration, len(f.Params), len(res.ParamNames))
 		}
-	}
-	cfg := res.BestConfig()
-	if cfg.Bins != res.TunedParams["B"] || cfg.ScatterGrain != res.TunedParams["G"] ||
-		cfg.BinGrain != res.TunedParams["GB"] || cfg.SplitBias != res.TunedParams["SB"] {
-		t.Errorf("BestConfig scheduling fields %+v do not match TunedParams %v", cfg, res.TunedParams)
 	}
 }
 
@@ -104,5 +95,79 @@ func TestRunLazyRegistersR(t *testing.T) {
 	}
 	if _, ok := res.TunedParams["R"]; !ok {
 		t.Errorf("lazy run's TunedParams missing R: %v", res.TunedParams)
+	}
+}
+
+// TestTunedVectorRemeasuresAsTuned: re-measuring a finished Nelder–Mead run
+// through WithParams runs exactly the tuned vector. The fixed frame builds
+// with the tuned B/G/GB/SB and renders with the tuned packet width and tile
+// size, where a re-measure assembled from the tree parameters alone would
+// render scalar at P = 1. Seed 28's four seeding probes all draw P > 1 and
+// T != 16, so whichever the clock picks as best differs from the base render.
+func TestTunedVectorRemeasuresAsTuned(t *testing.T) {
+	rc := RunConfig{
+		Scene: tinyScene(), Algorithm: kdtree.AlgoInPlace,
+		Search: SearchNelderMead, Workers: 2,
+		Width: 24, Height: 18, MaxIterations: 4, Seed: 28,
+	}
+	res := Run(rc)
+	if p, tile := res.TunedParams["P"], res.TunedParams["T"]; p == 1 || tile == 16 {
+		t.Fatalf("tuned P=%d T=%d: the seed no longer avoids the base render", p, tile)
+	}
+	fixed, err := rc.WithParams(res.TunedParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed.Search = SearchFixed
+	fixed.MaxIterations = 1
+	again := Run(fixed)
+
+	want := make([]int, len(res.ParamNames))
+	for i, name := range res.ParamNames {
+		want[i] = res.TunedParams[name]
+	}
+	if got := again.Frames[0].Params; !slices.Equal(got, want) {
+		t.Fatalf("re-measured frame ran %v, want the tuned vector %v (%v)", got, want, res.ParamNames)
+	}
+	if again.Packets == 0 {
+		t.Fatal("re-measured frame traced no packets: it rendered scalar, not at the tuned width")
+	}
+}
+
+// TestLazyRegistrySessionHistoryPinned pins the search itself: a seeded
+// StopWithCost session over the full lazy-builder registry must propose the
+// same vectors in the same order, so reshaping how vectors are registered,
+// reported or re-applied cannot move the search. A new digest means the
+// proposals changed, which is a change to the search, not to its plumbing.
+func TestLazyRegistrySessionHistoryPinned(t *testing.T) {
+	want := map[int64]string{
+		1: "7809906f8b59ea9e", 2: "6a0e240d1aa10a7a", 3: "b666690604f84faf",
+		4: "952c8e6cdc88dec5", 5: "831a39166005b9a9",
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		var v TunedVars
+		reg, err := ComposeRegistry(kdtree.AlgoLazy, &v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn := autotune.New(autotune.Options{Seed: seed})
+		if err := tn.RegisterAll(reg); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 120; i++ {
+			tn.Start()
+			ci, cb := float64(v.CI-40)/40, float64(v.CB-12)/12
+			tn.StopWithCost(1 + ci*ci + cb*cb + float64((v.S-4)*(v.S-4)) +
+				float64(v.Bins)/64 + float64(v.PacketWidth)/8 + float64(v.TileSize)/32 +
+				float64(v.ScatterGrain)/4096 + float64(v.BinGrain)/8192 +
+				float64(v.SplitBias) + float64(v.R)/1024)
+		}
+		h := sha256.New()
+		for _, s := range tn.History() {
+			fmt.Fprintf(h, "%v %v %v\n", s.Values, s.Cost, s.Censored)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want[seed] {
+			t.Errorf("seed %d: history digest %s, want %s", seed, got, want[seed])
+		}
 	}
 }

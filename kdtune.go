@@ -27,8 +27,9 @@
 //		tuner.Stop()
 //	}
 //
-// (The paper's original RegisterParameter(&v, min, max, step) methods remain
-// available on Tuner for clients that do not need named registration.)
+// A run reports its tuned configuration as one named vector
+// (RunResult.TunedParams); RunConfig.WithParams maps such a vector back onto
+// a runnable configuration.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // paper-vs-reproduction results.

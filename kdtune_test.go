@@ -39,7 +39,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 func TestFacadeTunerWorkflow(t *testing.T) {
 	tuner := NewTuner(TunerOptions{Seed: 9})
 	n := 0
-	if err := tuner.RegisterNamedParameter("N", &n, 1, 32, 1); err != nil {
+	reg := NewTunableRegistry()
+	if err := reg.Register(Tunable{Name: "N", Target: &n, Min: 1, Max: 32, Step: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tuner.RegisterAll(reg); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 120 && !tuner.Converged(); i++ {
