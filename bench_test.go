@@ -272,7 +272,7 @@ func BenchmarkSplitSweepVsBinned(b *testing.B) {
 	p := sah.DefaultParams()
 	b.Run("sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sah.FindBestSplitSweep(p, node, boxes)
+			sah.FindBestSplitSweep(nil, p, node, boxes, 1)
 		}
 	})
 	b.Run("binned32", func(b *testing.B) {
@@ -310,7 +310,7 @@ func BenchmarkParallelForChunk(b *testing.B) {
 	for _, grain := range []int{256, 4096, 65536} {
 		b.Run(fmt.Sprintf("grain=%d", grain), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				parallel.ForGrain(len(data), 0, grain, func(lo, hi int) {
+				parallel.ForChunks(nil, len(data), 0, grain, func(_, lo, hi int) {
 					for j := lo; j < hi; j++ {
 						data[j] = data[j]*0.5 + 1
 					}
@@ -330,12 +330,12 @@ func BenchmarkScan(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			parallel.ExclusiveScan(dst, src, 1)
+			parallel.ExclusiveScan(nil, dst, src, 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			parallel.ExclusiveScan(dst, src, 0)
+			parallel.ExclusiveScan(nil, dst, src, 0)
 		}
 	})
 }

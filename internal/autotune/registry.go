@@ -183,10 +183,19 @@ func FormatParams(values map[string]int, names []string) string {
 // registration order. It is the only way parameters enter a Tuner: the
 // composed parameter list defines the Nelder–Mead, exhaustive or random
 // search space, and several registries may be composed onto one tuner
-// before the first Start.
+// before the first Start. Names stay unique across the composition: a
+// registry that reuses a name already on the tuner is rejected whole, as
+// Registry.Register rejects a duplicate.
 func (t *Tuner) RegisterAll(reg *Registry) error {
 	if t.search != nil {
 		return fmt.Errorf("autotune: cannot register parameters after tuning started")
+	}
+	for _, tn := range reg.Tunables() {
+		for _, p := range t.params {
+			if p.name == tn.Name {
+				return fmt.Errorf("autotune: tunable %q registered twice", tn.Name)
+			}
+		}
 	}
 	for _, tn := range reg.Tunables() {
 		vals, err := tn.Values()

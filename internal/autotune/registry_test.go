@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -151,20 +152,22 @@ func TestRegisterAllRejectsDuplicateAcrossRegistries(t *testing.T) {
 	if err := r1.Register(Tunable{Name: "x", Target: &a, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Register(Tunable{Name: "y", Target: &b, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
+	if err := r2.Register(Tunable{Name: "x", Target: &b, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
 		t.Fatal(err)
 	}
 	tn := New(Options{Seed: 1})
 	if err := tn.RegisterAll(r1); err != nil {
 		t.Fatal(err)
 	}
-	// Composing a second registry onto the same tuner is legal (that is how
-	// the harness merges build-side and render-side tunables).
-	if err := tn.RegisterAll(r2); err != nil {
-		t.Fatal(err)
+	// Composing registries is legal (that is how the harness merges
+	// build-side and render-side tunables), but a name two registries both
+	// define would give BestByName one value for two dimensions.
+	err := tn.RegisterAll(r2)
+	if err == nil || !strings.Contains(err.Error(), `"x" registered twice`) {
+		t.Fatalf("RegisterAll of a reused name: err = %v, want registered twice", err)
 	}
-	if len(tn.Params()) != 2 {
-		t.Fatalf("params = %d, want 2", len(tn.Params()))
+	if len(tn.Params()) != 1 {
+		t.Fatalf("params = %d after the rejected registry, want 1", len(tn.Params()))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"kdtune/internal/faultinject"
 	"kdtune/internal/harness"
 	"kdtune/internal/kdtree"
+	"kdtune/internal/parallel"
 	"kdtune/internal/scene"
 	"kdtune/internal/vecmath"
 )
@@ -187,6 +188,51 @@ func TestInflateTriggersMemoryAbort(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("%v: post-memory-abort rebuild invalid: %v", a, err)
 		}
+	}
+}
+
+// TestLazyExpansionPanicRetries: a worker panic inside a lazy expansion
+// surfaces on the touching caller as a *parallel.WorkerPanic and leaves the
+// node unexpanded, so the next touch retries it on a fresh Builder instead
+// of dereferencing a subtree that was never stored.
+func TestLazyExpansionPanicRetries(t *testing.T) {
+	tris := e2eTriangles(3000)
+	cfg := e2eConfig(kdtree.AlgoLazy)
+	cfg.R = 1024
+	fresh := kdtree.NewBuilder().Build(tris, cfg)
+	fresh.ExpandAll()
+	want := serialize(t, fresh)
+
+	tree, err := kdtree.NewBuilder().BuildGuarded(tris, cfg, kdtree.Guard{})
+	if err != nil {
+		t.Fatalf("lazy build: %v", err)
+	}
+	if tree.Stats().NumDefer == 0 {
+		t.Fatalf("lazy build at R=%d deferred no node", cfg.R)
+	}
+	in := faultinject.Activate(faultinject.Fault{
+		Site: faultinject.SiteBuildNode, Index: -1, Kind: faultinject.KindPanic, Count: 1,
+	})
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		tree.ExpandAll()
+		return nil
+	}()
+	in.Deactivate()
+	wp, ok := r.(*parallel.WorkerPanic)
+	if !ok {
+		t.Fatalf("first expansion panicked with %T (%v), want *parallel.WorkerPanic", r, r)
+	}
+	var inj *faultinject.Injected
+	if !errors.As(wp, &inj) || inj.Fault.Site != faultinject.SiteBuildNode {
+		t.Fatalf("expansion panic does not unwrap to the injected SiteBuildNode fault: %v", wp)
+	}
+
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("retried expansion: %v", err)
+	}
+	if !bytes.Equal(want, serialize(t, tree)) {
+		t.Errorf("retried lazy tree differs from a fresh tree after ExpandAll")
 	}
 }
 

@@ -103,9 +103,10 @@ type arena struct {
 	narrowed []nbox         // nested: narrowed child boxes from classification
 
 	// live, when non-nil, accumulates the bytes held by the item and event
-	// stacks so a guarded build can enforce Guard.MaxArenaBytes. The stacks
-	// are where duplication blowup (the CB term) lands; the per-node scratch
-	// and node output are bounded by them and deliberately not counted. Only
+	// stacks (and, on the main arena, the breadth-first level item arrays)
+	// so a guarded build can enforce Guard.MaxArenaBytes. The stacks are
+	// where duplication blowup (the CB term) lands; the per-node scratch and
+	// node output are bounded by them and deliberately not counted. Only
 	// wired up when a memory ceiling is armed, so the default build path
 	// pays one nil check per stack operation.
 	live *atomic.Int64
@@ -131,12 +132,18 @@ func (a *arena) reset() {
 	a.events = a.events[:0]
 }
 
+// charge adds delta bytes to the guarded build's live count; a no-op unless
+// a memory ceiling is armed (live non-nil).
+func (a *arena) charge(delta int64) {
+	if a.live != nil {
+		a.live.Add(delta)
+	}
+}
+
 func (a *arena) markItems() int { return len(a.items) }
 
 func (a *arena) releaseItems(m int) {
-	if a.live != nil {
-		a.live.Add(-int64(len(a.items)-m) * itemBytes)
-	}
+	a.charge(-int64(len(a.items)-m) * itemBytes)
 	a.items = a.items[:m]
 }
 
@@ -144,9 +151,7 @@ func (a *arena) releaseItems(m int) {
 // window is capacity-clamped so appends past n cannot silently bleed into a
 // sibling's window.
 func (a *arena) allocItems(n int) []item {
-	if a.live != nil {
-		a.live.Add(int64(n) * itemBytes)
-	}
+	a.charge(int64(n) * itemBytes)
 	m := len(a.items)
 	if m+n > cap(a.items) {
 		grown := make([]item, m, growCap(m+n))
@@ -160,16 +165,12 @@ func (a *arena) allocItems(n int) []item {
 func (a *arena) markEvents() int { return len(a.events) }
 
 func (a *arena) releaseEvents(m int) {
-	if a.live != nil {
-		a.live.Add(-int64(len(a.events)-m) * eventBytes)
-	}
+	a.charge(-int64(len(a.events)-m) * eventBytes)
 	a.events = a.events[:m]
 }
 
 func (a *arena) allocEvents(n int) []soEvent {
-	if a.live != nil {
-		a.live.Add(int64(n) * eventBytes)
-	}
+	a.charge(int64(n) * eventBytes)
 	m := len(a.events)
 	if m+n > cap(a.events) {
 		grown := make([]soEvent, m, growCap(m+n))
@@ -279,7 +280,9 @@ func (o *expandOnce) Do(f func()) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if !o.done.Load() {
-		defer o.done.Store(true)
+		// done is set only once f returns: an expansion that panics leaves
+		// the node unexpanded, so the next touch retries it.
 		f()
+		o.done.Store(true)
 	}
 }

@@ -29,8 +29,8 @@ type item struct {
 }
 
 // buildCtx is the per-build shared state: immutable inputs plus the task
-// pool, statistics counters, the owning Builder (arena source) and the
-// abort guard (nil only transiently inside prepare; every build arms it).
+// pool, statistics counters and the owning Builder (arena source and abort
+// guard; every build arms the guard).
 type buildCtx struct {
 	tris     []vecmath.Triangle
 	cfg      Config
@@ -39,7 +39,6 @@ type buildCtx struct {
 	counters buildCounters
 	spawnCap int // recursion depth below which subtree tasks are spawned
 	b        *Builder
-	guard    *buildGuard
 }
 
 // rootItems computes the world bounds and the initial item list (skipping
@@ -68,8 +67,8 @@ func (c *buildCtx) rootItemsInto(dst []item) ([]item, vecmath.AABB) {
 
 // makeLeaf emits a leaf into the arena and records statistics.
 func (c *buildCtx) makeLeaf(a *arena, items []item, depth int) {
-	if faultinject.Active() && c.guard != nil {
-		faultinject.Check(faultinject.SiteBuildLeaf, int(c.guard.leafSeq.Add(1))-1)
+	if faultinject.Active() {
+		faultinject.Check(faultinject.SiteBuildLeaf, int(c.b.guard.leafSeq.Add(1))-1)
 	}
 	a.emitLeaf(items)
 	c.counters.noteLeaf(len(items), depth)
@@ -153,7 +152,7 @@ func (c *buildCtx) decideSplitSweep(a *arena, items []item, bounds vecmath.AABB,
 	for i := range items {
 		a.boxes = append(a.boxes, items[i].bounds)
 	}
-	split, ok := sah.FindBestSplitSweepCancel(c.canceler(), c.params, bounds, a.boxes, workers)
+	split, ok := sah.FindBestSplitSweep(c.canceler(), c.params, bounds, a.boxes, workers)
 	if !ok || c.params.ShouldTerminate(len(items), split) {
 		return sah.Split{}, false
 	}

@@ -89,6 +89,10 @@ func (c *buildCtx) buildBreadthFirst(lazy bool) vecmath.AABB {
 	bf := &c.b.bf
 	items, bounds := c.rootItemsInto(bf.items[0][:0])
 	bf.items[0] = items
+	// The level arrays hold the frontier's items, so the memory ceiling
+	// counts them like the arena stacks: the root level here, and each
+	// next level as it replaces the current one (processLevel).
+	c.b.main.charge(int64(len(items)) * itemBytes)
 	if len(items) == 0 {
 		return vecmath.AABB{}
 	}
@@ -171,8 +175,8 @@ func (c *buildCtx) assembleBF(a *arena, bi int32) {
 // bfLeafNode emits leaf content into the main arena and returns the
 // scaffold record referencing it (phase 3 runs single-threaded).
 func (c *buildCtx) bfLeafNode(sub []item, depth int) bfNode {
-	if faultinject.Active() && c.guard != nil {
-		faultinject.Check(faultinject.SiteBuildLeaf, int(c.guard.leafSeq.Add(1))-1)
+	if faultinject.Active() {
+		faultinject.Check(faultinject.SiteBuildLeaf, int(c.b.guard.leafSeq.Add(1))-1)
 	}
 	main := &c.b.main
 	start := int32(len(main.leafTris))
@@ -221,7 +225,7 @@ func (c *buildCtx) decideSplitLevel(a *arena, sub []item, bounds vecmath.AABB, d
 	if depth >= c.cfg.MaxDepth {
 		return sah.Split{}, false
 	}
-	split, ok := sah.FindBestSplitBinnedChunksCancel(c.canceler(), c.params, bounds, len(sub), c.cfg.Bins, workers, c.cfg.BinGrain,
+	split, ok := sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(sub), c.cfg.Bins, workers, c.cfg.BinGrain,
 		func(bs *sah.BinSet, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				bs.Add(sub[i].bounds)
@@ -293,7 +297,7 @@ type childPlan struct {
 func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) []levelNode {
 	bf := &c.b.bf
 	items := bf.items[cur]
-	outerW, innerW := parallel.SplitBudgetBias(c.cfg.Workers, len(frontier), c.cfg.SplitBias)
+	outerW, innerW := parallel.SplitBudget(c.cfg.Workers, len(frontier), c.cfg.SplitBias)
 	cc := c.canceler()
 
 	// Phase 1: best split per node. Parallel across nodes; within a node
@@ -307,7 +311,7 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 	// garbage counts in the worst case.
 	bf.decs = ensureLen(bf.decs, len(frontier))
 	decisions := bf.decs
-	parallel.ForChunksCancel(cc, len(frontier), outerW, 1, func(_, lo, hi int) {
+	parallel.ForChunks(cc, len(frontier), outerW, 1, func(_, lo, hi int) {
 		sa := c.b.getArena()
 		for ni := lo; ni < hi; ni++ {
 			decisions[ni] = levelDecision{}
@@ -352,7 +356,7 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 		plans[ni].chunkOff = bf.chunkOff[off : off+cc : off+cc]
 		off += cc
 	}
-	parallel.ForChunksCancel(cc, len(frontier), outerW, 1, func(_, lo0, hi0 int) {
+	parallel.ForChunks(cc, len(frontier), outerW, 1, func(_, lo0, hi0 int) {
 		for ni := lo0; ni < hi0; ni++ {
 			if !decisions[ni].doit {
 				continue
@@ -362,7 +366,7 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 			lb, rb := ln.bounds.Split(split.Axis, split.Pos)
 			sub := items[ln.start:ln.end]
 			counts := plans[ni].chunkOff
-			parallel.ForChunksCancel(cc, len(sub), innerW, c.cfg.ScatterGrain, func(chunk, lo, hi int) {
+			parallel.ForChunks(cc, len(sub), innerW, c.cfg.ScatterGrain, func(chunk, lo, hi int) {
 				var nl, nr int
 				for i := lo; i < hi; i++ {
 					gl, gr := c.classify(sub[i], split, lb, rb)
@@ -409,7 +413,8 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 	// so each chunk's writes start exactly where its counts said they would.
 	nextItems := ensureLen(bf.items[1-cur], next)
 	bf.items[1-cur] = nextItems
-	parallel.ForChunksCancel(cc, len(frontier), outerW, 1, func(_, lo0, hi0 int) {
+	c.b.main.charge(int64(next-len(items)) * itemBytes)
+	parallel.ForChunks(cc, len(frontier), outerW, 1, func(_, lo0, hi0 int) {
 		for ni := lo0; ni < hi0; ni++ {
 			if !decisions[ni].doit {
 				continue
@@ -419,7 +424,7 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 			lb, rb := ln.bounds.Split(split.Axis, split.Pos)
 			sub := items[ln.start:ln.end]
 			plan := plans[ni]
-			parallel.ForChunksCancel(cc, len(sub), innerW, c.cfg.ScatterGrain, func(chunk, lo, hi int) {
+			parallel.ForChunks(cc, len(sub), innerW, c.cfg.ScatterGrain, func(chunk, lo, hi int) {
 				l := plan.leftStart + plan.chunkOff[chunk][0]
 				r := plan.rightStart + plan.chunkOff[chunk][1]
 				for i := lo; i < hi; i++ {

@@ -101,7 +101,7 @@ func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, de
 // package, so no arithmetic here can drift out of sync with the scheduler;
 // worker counts <= 0 are normalised inside.
 func (c *buildCtx) parallelBestSplit(items []item, bounds vecmath.AABB) (sah.Split, bool) {
-	return sah.FindBestSplitBinnedChunksCancel(c.canceler(), c.params, bounds, len(items), c.cfg.Bins, c.cfg.Workers, c.cfg.BinGrain,
+	return sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(items), c.cfg.Bins, c.cfg.Workers, c.cfg.BinGrain,
 		func(bs *sah.BinSet, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				bs.Add(items[i].bounds)
@@ -137,7 +137,7 @@ func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, pa
 	flags, cntL, cntR, boxes := a.flags, a.cntL, a.cntR, a.narrowed
 
 	cc := c.canceler()
-	parallel.ForCancel(cc, n, workers, func(loIdx, hiIdx int) {
+	parallel.For(cc, n, workers, func(loIdx, hiIdx int) {
 		for i := loIdx; i < hiIdx; i++ {
 			it := items[i]
 			lo := it.bounds.Min.Axis(split.Axis)
@@ -171,15 +171,15 @@ func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, pa
 	if cc.Canceled() {
 		return nil, nil, lb, rb
 	}
-	nl := parallel.ExclusiveScanCancel(cc, cntL, cntL, workers)
-	nr := parallel.ExclusiveScanCancel(cc, cntR, cntR, workers)
+	nl := parallel.ExclusiveScan(cc, cntL, cntL, workers)
+	nr := parallel.ExclusiveScan(cc, cntR, cntR, workers)
 	if cc.Canceled() {
 		return nil, nil, lb, rb
 	}
 	left = a.allocItems(nl)
 	right = a.allocItems(nr)
 
-	parallel.ForCancel(cc, n, workers, func(loIdx, hiIdx int) {
+	parallel.For(cc, n, workers, func(loIdx, hiIdx int) {
 		for i := loIdx; i < hiIdx; i++ {
 			if flags[i]&sideLeft != 0 {
 				left[cntL[i]] = item{items[i].tri, boxes[i].l}

@@ -75,7 +75,7 @@ func (c *buildCtx) buildSortOnce() vecmath.AABB {
 	for slot, it := range items {
 		events = appendEvents(events, int32(slot), it.bounds)
 	}
-	parallel.SortFuncCancel(c.canceler(), events, c.cfg.Workers, soLess)
+	parallel.SortFunc(c.canceler(), events, c.cfg.Workers, soLess)
 	c.recurseSortOnce(a, items, events, bounds, 0)
 	return bounds
 }

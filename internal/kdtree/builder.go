@@ -59,9 +59,13 @@ func NewBuilder() *Builder {
 // builds stay fail-loud. Callers that want an error instead use
 // BuildGuarded.
 func (b *Builder) Build(tris []vecmath.Triangle, cfg Config) *Tree {
-	t, err := b.BuildGuarded(tris, cfg, Guard{})
+	return mustBuild(b.build(tris, cfg, Guard{}, nil))
+}
+
+// mustBuild re-raises the abort of a limitless build, whose only abort cause
+// is a worker panic, as that *parallel.WorkerPanic.
+func mustBuild(t *Tree, err error) *Tree {
 	if err != nil {
-		// With a zero Guard the only abort cause is a worker panic.
 		ba := err.(*BuildAborted)
 		if ba.Panic != nil {
 			panic(ba.Panic)
@@ -89,7 +93,6 @@ func (b *Builder) prepare(tris []vecmath.Triangle, cfg Config) *buildCtx {
 	c.pool = b.pool
 	c.spawnCap = cfg.spawnDepth()
 	c.b = b
-	c.guard = nil
 	c.counters.reset()
 	return c
 }
@@ -150,25 +153,15 @@ func (b *Builder) putArena(a *arena) {
 	b.arenaMu.Unlock()
 }
 
-// buildDeferredSubtree expands one suspended lazy node into a fresh tree.
-// The Builder is dedicated to the subtree: the returned Tree owns (keeps
-// alive) the Builder's storage, which is exactly the "small per-tree
-// scratch" a lazy expansion needs.
-// The guard is armed (limitless) for the same reason Build arms it: a
-// panicking subtree task must be drained and re-raised, never left writing
-// arenas behind a silently-degraded tree.
-func (b *Builder) buildDeferredSubtree(parent *Tree, d *deferredNode, cfg Config) *Tree {
-	cfg = cfg.Clamped().normalized(len(parent.tris))
-	c := b.prepare(parent.tris, cfg)
-	gd := &b.guard
-	gd.arm(Guard{})
-	defer gd.disarm()
-	c.guard = gd
-
-	a := &b.main
+// buildDeferred expands the suspended lazy node d with the sequential
+// node-level recursion; it is the body build runs for a lazy expansion, so
+// the expansion gets the same guard, panic containment and abort drain as
+// any build. It returns the subtree bounds and its primitive count.
+func (c *buildCtx) buildDeferred(d *deferredNode) (vecmath.AABB, int) {
+	a := &c.b.main
 	items := a.allocItems(len(d.tris))[:0]
 	for _, ti := range d.tris {
-		bb := parent.tris[ti].Bounds().Intersect(d.bounds)
+		bb := c.tris[ti].Bounds().Intersect(d.bounds)
 		if bb.IsEmpty() {
 			// Can only happen for degenerate input; such triangles cannot
 			// intersect rays inside this node anyway.
@@ -176,21 +169,6 @@ func (b *Builder) buildDeferredSubtree(parent *Tree, d *deferredNode, cfg Config
 		}
 		items = append(items, item{ti, bb})
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				gd.fail(AbortWorkerPanic, parallel.AsWorkerPanic(-1, r))
-			}
-		}()
-		c.recurseNodeLevel(a, items, d.bounds, 0)
-	}()
-	if gd.cc.Canceled() {
-		b.pool.Wait()
-		_, wp := gd.failure()
-		if wp != nil {
-			panic(wp)
-		}
-		panic(&BuildAborted{Cause: AbortWorkerPanic, Algorithm: cfg.Algorithm})
-	}
-	return b.finish(d.bounds, len(items))
+	c.recurseNodeLevel(a, items, d.bounds, 0)
+	return d.bounds, len(items)
 }

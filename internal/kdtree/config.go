@@ -85,7 +85,7 @@ type Config struct {
 	// worker count is — the histogram merge runs in ascending chunk order.
 	BinGrain int
 
-	// SplitBias biases parallel.SplitBudgetBias toward within-node
+	// SplitBias biases parallel.SplitBudget toward within-node
 	// parallelism in the in-place builder's frontier loops: each +1 halves
 	// the outer (across-nodes) width and hands the freed budget to the
 	// inner (within-node) loops. 0 is the neutral SplitBudget policy; the

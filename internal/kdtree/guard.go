@@ -26,9 +26,9 @@ type Guard struct {
 	MaxDepth int
 
 	// MaxArenaBytes aborts when the live item/event stacks across all build
-	// arenas exceed this many bytes. It tracks the duplication-driven blowup
-	// (the CB term) that dominates build memory; fixed node storage is not
-	// counted.
+	// arenas, plus the breadth-first builders' level item arrays, exceed
+	// this many bytes. It tracks the duplication-driven blowup (the CB term)
+	// that dominates build memory; fixed node storage is not counted.
 	MaxArenaBytes int64
 }
 
@@ -93,7 +93,7 @@ func (e *BuildAborted) Unwrap() error {
 type buildGuard struct {
 	cc        parallel.Canceler
 	limits    Guard
-	liveBytes atomic.Int64 // item/event stack bytes across all arenas
+	liveBytes atomic.Int64 // item/event stack and level array bytes
 	nodeSeq   atomic.Int64 // faultinject ordinal for SiteBuildNode
 	leafSeq   atomic.Int64 // faultinject ordinal for SiteBuildLeaf
 
@@ -174,20 +174,13 @@ func (g *buildGuard) onWorkerPanic(wp *parallel.WorkerPanic) {
 	g.fail(AbortWorkerPanic, wp)
 }
 
-// addLive adjusts the live arena byte count. Only wired up (non-nil arena
-// pointer) when MaxArenaBytes is set, so unguarded builds skip the atomics.
-func (g *buildGuard) addLive(delta int64) { g.liveBytes.Add(delta) }
-
 // checkAbort is the per-node cancellation point every builder recursion
 // passes through: it probes fault injection, applies the depth and memory
 // ceilings, and reports whether the build is canceled (by any cause,
 // including the deadline timer and worker panics). Cost when nothing is
 // armed: two atomic loads.
 func (c *buildCtx) checkAbort(depth int) bool {
-	g := c.guard
-	if g == nil {
-		return false
-	}
+	g := &c.b.guard
 	if faultinject.Active() {
 		faultinject.Check(faultinject.SiteBuildNode, int(g.nodeSeq.Add(1))-1)
 	}
@@ -205,18 +198,10 @@ func (c *buildCtx) checkAbort(depth int) bool {
 
 // aborted reports whether the build has been canceled without running the
 // limit checks — the cheap form for mid-phase bail-outs.
-func (c *buildCtx) aborted() bool {
-	return c.guard != nil && c.guard.cc.Canceled()
-}
+func (c *buildCtx) aborted() bool { return c.b.guard.cc.Canceled() }
 
-// canceler exposes the guard's canceler for the parallel primitives (nil
-// when unguarded, which the primitives treat as "never canceled").
-func (c *buildCtx) canceler() *parallel.Canceler {
-	if c.guard == nil {
-		return nil
-	}
-	return &c.guard.cc
-}
+// canceler is the build's Canceler, threaded into every parallel primitive.
+func (c *buildCtx) canceler() *parallel.Canceler { return &c.b.guard.cc }
 
 // BuildGuarded is Build with fault containment: the guard's deadline, depth
 // and memory ceilings abort the build at node/chunk granularity, and any
@@ -227,17 +212,26 @@ func (c *buildCtx) canceler() *parallel.Canceler {
 //
 // The returned Tree borrows the Builder's storage exactly like Build's.
 func (b *Builder) BuildGuarded(tris []vecmath.Triangle, cfg Config, g Guard) (*Tree, error) {
+	return b.build(tris, cfg, g, nil)
+}
+
+// build is the one guarded build sequence, shared by BuildGuarded and lazy
+// expansion: arm the guard, run the builder under panic containment, and on
+// abort drain the pool and reclaim every pooled arena before reporting the
+// cause. With d nil it builds tris under cfg.Algorithm; with d set it
+// expands the suspended lazy node d (whose triangles index into tris).
+func (b *Builder) build(tris []vecmath.Triangle, cfg Config, g Guard, d *deferredNode) (*Tree, error) {
 	cfg = cfg.Clamped().normalized(len(tris))
 	c := b.prepare(tris, cfg)
 	gd := &b.guard
 	gd.arm(g)
 	defer gd.disarm()
-	c.guard = gd
 	if g.MaxArenaBytes > 0 {
 		b.main.live = &gd.liveBytes
 	}
 
 	var bounds vecmath.AABB
+	numTris := len(tris)
 	func() {
 		// Contain panics that unwind the root build goroutine itself — from
 		// inline pool tasks, single-chunk parallel bodies, or plain build
@@ -249,6 +243,10 @@ func (b *Builder) BuildGuarded(tris []vecmath.Triangle, cfg Config, g Guard) (*T
 				gd.fail(AbortWorkerPanic, parallel.AsWorkerPanic(-1, r))
 			}
 		}()
+		if d != nil {
+			bounds, numTris = c.buildDeferred(d)
+			return
+		}
 		switch cfg.Algorithm {
 		case AlgoNested:
 			bounds = c.buildNested()
@@ -283,5 +281,5 @@ func (b *Builder) BuildGuarded(tris []vecmath.Triangle, cfg Config, g Guard) (*T
 		return nil, &BuildAborted{Cause: cause, Algorithm: cfg.Algorithm, Guard: g, Panic: wp}
 	}
 	b.main.live = nil
-	return b.finish(bounds, len(tris)), nil
+	return b.finish(bounds, numTris), nil
 }

@@ -72,6 +72,16 @@ func TestGuardMaxArenaBytesAborts(t *testing.T) {
 		// the very first memory check trips.
 		abortCause(t, NewBuilder(), a, tris, Guard{MaxArenaBytes: 1 << 10}, AbortMemory)
 	}
+	// At its base R (4096) the lazy builder suspends the whole 4000-item
+	// root, so only the breadth-first level array ever holds items: the
+	// ceiling must count it.
+	cfg := BaseConfig(AlgoLazy)
+	cfg.Workers = 4
+	_, err := NewBuilder().BuildGuarded(tris, cfg, Guard{MaxArenaBytes: 1 << 10})
+	var ba *BuildAborted
+	if !errors.As(err, &ba) || ba.Cause != AbortMemory {
+		t.Fatalf("lazy at base R = %d: err = %v, want a memory abort", cfg.R, err)
+	}
 }
 
 func TestGuardDeadlineAborts(t *testing.T) {

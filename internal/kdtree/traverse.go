@@ -282,7 +282,9 @@ func (t *Tree) occludedFrom(r vecmath.Ray, inv vecmath.Vec3, start int32, curMin
 // expandDeferred builds the suspended subtree on first use. The once latch
 // plays the role of the paper's OpenMP critical section: concurrent rays
 // reaching the same node serialise here, every other node stays contention
-// free.
+// free. An expansion that panics re-raises the *parallel.WorkerPanic on the
+// touching caller and leaves the node unexpanded, so the next touch retries
+// it on a fresh Builder.
 func (t *Tree) expandDeferred(d *deferredNode) *Tree {
 	d.once.Do(func() {
 		// Expand with the sequential sweep recursion; the node holds fewer
@@ -293,8 +295,7 @@ func (t *Tree) expandDeferred(d *deferredNode) *Tree {
 		cfg := t.cfg
 		cfg.Algorithm = AlgoNodeLevel
 		cfg.Workers = 1
-		sub := NewBuilder().buildDeferredSubtree(t, d, cfg)
-		d.sub.Store(sub)
+		d.sub.Store(mustBuild(NewBuilder().build(t.tris, cfg, Guard{}, d)))
 	})
 	return d.sub.Load()
 }

@@ -2,13 +2,13 @@
 // builds depend on:
 //
 //	guard.cancel — every dispatch into the parallel substrate must thread a
-//	               *parallel.Canceler. Calling a plain (non-Cancel) variant,
-//	               or passing a literal nil to a Cancel variant, creates an
+//	               *parallel.Canceler. Every dispatch takes one as its first
+//	               parameter; passing a literal nil creates an
 //	               uninterruptible stretch: a guarded build's deadline or
 //	               memory abort cannot fire until that dispatch drains.
-//	               Pool.Spawn has no Cancel variant, so every Spawn site
-//	               must state (via //kdlint:nocancel) how its task observes
-//	               cancellation.
+//	               Pool.Spawn has no cancellation parameter, so every Spawn
+//	               site must state (via //kdlint:nocancel) how its task
+//	               observes cancellation.
 //	guard.entry  — external code must enter tree construction through
 //	               Builder.BuildGuarded, which converts worker panics,
 //	               deadline and memory violations into a *BuildAborted
@@ -35,27 +35,13 @@ func Rule() lint.Rule {
 	}
 }
 
-// plainDispatch maps each parallel dispatch function without a cancellation
-// parameter to its Cancel variant ("" when none exists).
-var plainDispatch = map[string]string{
-	"For":           "ForCancel",
-	"ForGrain":      "ForGrainCancel",
-	"ForChunks":     "ForChunksCancel",
-	"ForEach":       "",
-	"ExclusiveScan": "ExclusiveScanCancel",
-	"Reduce":        "ReduceCancel",
-	"SortFunc":      "SortFuncCancel",
-}
-
 // cancelDispatch is the set of dispatch functions whose first parameter is
 // the *Canceler; passing literal nil defeats the discipline.
 var cancelDispatch = map[string]bool{
-	"ForCancel":           true,
-	"ForGrainCancel":      true,
-	"ForChunksCancel":     true,
-	"ExclusiveScanCancel": true,
-	"ReduceCancel":        true,
-	"SortFuncCancel":      true,
+	"For":           true,
+	"ForChunks":     true,
+	"ExclusiveScan": true,
+	"SortFunc":      true,
 }
 
 func check(p *lint.Pass) {
@@ -77,21 +63,10 @@ func check(p *lint.Pass) {
 			// substrate's own internals are the allowlisted implementation.
 			if pkg == p.Cfg.ParallelPackage && !p.IsParallelPackage() {
 				switch {
-				case recv == "" && plainDispatch[name] != "":
+				case recv == "" && cancelDispatch[name] && len(call.Args) > 0 && lint.IsNilIdent(info, call.Args[0]):
 					p.Reportf("guard.cancel", call.Pos(),
-						"parallel.%s dispatches without a cancellation point: use parallel.%s and thread the build's Canceler, or suppress with //kdlint:nocancel <why this cannot block an abort>",
-						name, plainDispatch[name])
-				case recv == "":
-					if _, isPlain := plainDispatch[name]; isPlain {
-						// A dispatch with no Cancel variant (ForEach): the
-						// site must justify itself.
-						p.Reportf("guard.cancel", call.Pos(),
-							"parallel.%s has no Cancel variant: restructure onto a cancelable primitive, or suppress with //kdlint:nocancel <why this cannot block an abort>", name)
-					} else if cancelDispatch[name] && len(call.Args) > 0 && lint.IsNilIdent(info, call.Args[0]) {
-						p.Reportf("guard.cancel", call.Pos(),
-							"parallel.%s threads a nil Canceler, which disables cancellation: pass the build's Canceler, or call parallel.%s under //kdlint:nocancel <reason>",
-							name, name[:len(name)-len("Cancel")])
-					}
+						"parallel.%s threads a nil Canceler, which disables cancellation: pass the build's Canceler, or suppress with //kdlint:nocancel <why this cannot block an abort>",
+						name)
 				case recv == "Pool" && name == "Spawn":
 					p.Reportf("guard.cancel", call.Pos(),
 						"Pool.Spawn has no cancellation parameter: the spawned task must poll a Canceler itself; state how with //kdlint:nocancel <reason>")

@@ -241,12 +241,7 @@ func DefaultConfig() *Config {
 			"kdtune/internal/kdtree.Builder.BuildGuarded",
 			"kdtune/internal/render.RenderInto",
 			"kdtune/internal/parallel.For",
-			"kdtune/internal/parallel.ForCancel",
-			"kdtune/internal/parallel.ForGrain",
-			"kdtune/internal/parallel.ForGrainCancel",
 			"kdtune/internal/parallel.ForChunks",
-			"kdtune/internal/parallel.ForChunksCancel",
-			"kdtune/internal/parallel.ForEach",
 			"kdtune/internal/parallel.Pool.Wait",
 		},
 		AtomicsPackages: []string{

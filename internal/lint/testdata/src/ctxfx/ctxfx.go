@@ -89,14 +89,14 @@ func guardedParam(b *kdtree.Builder, g kdtree.Guard, tris []vecmath.Triangle, cf
 
 func unlinkedCanceler(xs []float64) {
 	var cc parallel.Canceler
-	parallel.ForCancel(&cc, len(xs), 2, func(lo, hi int) {}) // want `Canceler cc reaches a dispatch without a dominating kdtune/internal/parallel\.LinkContext`
+	parallel.For(&cc, len(xs), 2, func(lo, hi int) {}) // want `Canceler cc reaches a dispatch without a dominating kdtune/internal/parallel\.LinkContext`
 }
 
 func linkedCanceler(ctx context.Context, xs []float64) {
 	var cc parallel.Canceler
 	stop := parallel.LinkContext(ctx, &cc)
 	defer stop()
-	parallel.ForCancel(&cc, len(xs), 2, func(lo, hi int) {})
+	parallel.For(&cc, len(xs), 2, func(lo, hi int) {})
 }
 
 // linkedOnOneBranch: the link does not dominate the dispatch.
@@ -106,12 +106,12 @@ func linkedOnOneBranch(ctx context.Context, fast bool, xs []float64) {
 		stop := parallel.LinkContext(ctx, &cc)
 		defer stop()
 	}
-	parallel.ForCancel(&cc, len(xs), 2, func(lo, hi int) {}) // want `Canceler cc reaches a dispatch without a dominating kdtune/internal/parallel\.LinkContext`
+	parallel.For(&cc, len(xs), 2, func(lo, hi int) {}) // want `Canceler cc reaches a dispatch without a dominating kdtune/internal/parallel\.LinkContext`
 }
 
 // paramCanceler trusts the caller to have linked it.
 func paramCanceler(cc *parallel.Canceler, xs []float64) {
-	parallel.ForCancel(cc, len(xs), 2, func(lo, hi int) {})
+	parallel.For(cc, len(xs), 2, func(lo, hi int) {})
 }
 
 // renderOpts mirrors an options literal carrying a cancellation hook.

@@ -10,26 +10,16 @@ import (
 	"kdtune/internal/vecmath"
 )
 
-func plainDispatches(xs []float64) {
-	parallel.For(len(xs), 4, func(lo, hi int) {})                                                                       // want `parallel\.For dispatches without a cancellation point`
-	parallel.ForGrain(len(xs), 4, 64, func(lo, hi int) {})                                                              // want `parallel\.ForGrain dispatches without a cancellation point`
-	parallel.ForChunks(len(xs), 4, 64, func(chunk, lo, hi int) {})                                                      // want `parallel\.ForChunks dispatches without a cancellation point`
-	parallel.ForEach(len(xs), 4, func(i int) {})                                                                        // want `parallel\.ForEach has no Cancel variant`
-	parallel.ExclusiveScan(xs, xs, 4)                                                                                   // want `parallel\.ExclusiveScan dispatches without a cancellation point`
-	parallel.Reduce(len(xs), 4, 0.0, func(i int) float64 { return xs[i] }, func(a, b float64) float64 { return a + b }) // want `parallel\.Reduce dispatches without a cancellation point`
-	parallel.SortFunc(xs, 4, func(a, b float64) int { return 0 })                                                       // want `parallel\.SortFunc dispatches without a cancellation point`
-}
-
 func nilCanceler(xs []float64) {
-	parallel.ForCancel(nil, len(xs), 4, func(lo, hi int) {})                          // want `parallel\.ForCancel threads a nil Canceler`
-	parallel.SortFuncCancel[float64](nil, xs, 4, func(a, b float64) int { return 0 }) // want `parallel\.SortFuncCancel threads a nil Canceler`
+	parallel.For(nil, len(xs), 4, func(lo, hi int) {})                          // want `parallel\.For threads a nil Canceler`
+	parallel.SortFunc[float64](nil, xs, 4, func(a, b float64) int { return 0 }) // want `parallel\.SortFunc threads a nil Canceler`
 }
 
 func threaded(cc *parallel.Canceler, xs []float64) {
-	parallel.ForCancel(cc, len(xs), 4, func(lo, hi int) {})
-	parallel.ForChunksCancel(cc, len(xs), 4, 64, func(chunk, lo, hi int) {})
-	parallel.ExclusiveScanCancel(cc, xs, xs, 4)
-	parallel.SortFuncCancel(cc, xs, 4, func(a, b float64) int { return 0 })
+	parallel.For(cc, len(xs), 4, func(lo, hi int) {})
+	parallel.ForChunks(cc, len(xs), 4, 64, func(chunk, lo, hi int) {})
+	parallel.ExclusiveScan(cc, xs, xs, 4)
+	parallel.SortFunc(cc, xs, 4, func(a, b float64) int { return 0 })
 }
 
 func spawns(p *parallel.Pool, cc *parallel.Canceler) {
@@ -39,10 +29,10 @@ func spawns(p *parallel.Pool, cc *parallel.Canceler) {
 	p.Spawn(func() { _ = cc.Canceled() })
 }
 
-// suppressedDispatch shows a justified plain dispatch: the pragma rides at
-// the end of the offending line.
+// suppressedDispatch shows a justified nil-Canceler dispatch: the pragma
+// rides at the end of the offending line.
 func suppressedDispatch(xs []float64) {
-	parallel.For(len(xs), 4, func(lo, hi int) {}) //kdlint:nocancel fixture: bounded 3-element dispatch cannot block an abort
+	parallel.For(nil, len(xs), 4, func(lo, hi int) {}) //kdlint:nocancel fixture: bounded 3-element dispatch cannot block an abort
 }
 
 func rawEntries(tris []vecmath.Triangle, cfg kdtree.Config) *kdtree.Tree {

@@ -74,7 +74,7 @@ func sendWhileLocked(e *entry, out chan int) {
 
 func dispatchWhileLocked(e *entry, xs []float64) {
 	e.mu.Lock()
-	parallel.For(len(xs), 2, func(lo, hi int) {}) // want `kdtune/internal/parallel\.For while kdtune/internal/lint/testdata/src/lockfx\.entry\.mu is held`
+	parallel.For(nil, len(xs), 2, func(lo, hi int) {}) // want `kdtune/internal/parallel\.For while kdtune/internal/lint/testdata/src/lockfx\.entry\.mu is held`
 	e.mu.Unlock()
 }
 

@@ -17,7 +17,7 @@ func typoDirective() {
 func reasonless(xs []float64) {
 	//kdlint:nocancel
 	// want-above `kdlint:nocancel suppresses guard.cancel but gives no reason`
-	parallel.For(len(xs), 2, func(lo, hi int) {}) // want `parallel\.For dispatches without a cancellation point`
+	parallel.For(nil, len(xs), 2, func(lo, hi int) {}) // want `parallel\.For threads a nil Canceler`
 }
 
 func allowMissingReason() {
@@ -28,5 +28,5 @@ func allowMissingReason() {
 // covered shows a valid pragma suppressing from the line above.
 func covered(xs []float64) {
 	//kdlint:nocancel fixture: two-element dispatch cannot block an abort
-	parallel.For(len(xs), 2, func(lo, hi int) {})
+	parallel.For(nil, len(xs), 2, func(lo, hi int) {})
 }

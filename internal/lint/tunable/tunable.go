@@ -2,9 +2,8 @@
 // PR 8 converted into registry tunables:
 //
 //	tunable.grain — an int literal (>= 2) in the grain position of a
-//	                parallel dispatch (ForChunks, ForGrain, ChunkCount and
-//	                their Cancel variants) or of the chunked binned SAH
-//	                search. Grains are online-tuned through the tunable
+//	                parallel dispatch (ForChunks, ChunkCount) or of the
+//	                chunked binned SAH search. Grains are online-tuned through the tunable
 //	                registry (kdtree.Config.ScatterGrain / BinGrain); an
 //	                inline literal pins the schedule behind the tuner's
 //	                back. The literals 0 and 1 stay legal — 0 selects the
@@ -47,19 +46,15 @@ func Rule() lint.Rule {
 // parallelGrainPos maps each grain-taking dispatch function of the parallel
 // package to the argument index of its grain.
 var parallelGrainPos = map[string]int{
-	"ChunkCount":      2,
-	"ForChunks":       2,
-	"ForGrain":        2,
-	"ForChunksCancel": 3,
-	"ForGrainCancel":  3,
+	"ChunkCount": 2,
+	"ForChunks":  3,
 }
 
 // sahArgPos maps the binned split-search entry points to the argument
 // indices of their bins and grain parameters (-1 when absent).
 var sahArgPos = map[string]struct{ bins, grain int }{
-	"FindBestSplitBinned":             {bins: 3, grain: -1},
-	"FindBestSplitBinnedChunks":       {bins: 3, grain: 5},
-	"FindBestSplitBinnedChunksCancel": {bins: 4, grain: 6},
+	"FindBestSplitBinned":       {bins: 3, grain: -1},
+	"FindBestSplitBinnedChunks": {bins: 4, grain: 6},
 }
 
 func check(p *lint.Pass) {

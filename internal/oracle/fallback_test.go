@@ -31,16 +31,10 @@ func TestFallbackTreeOracle(t *testing.T) {
 				b := kdtree.NewBuilder()
 				// Stop the primary build mid-flight, exactly like a limit
 				// trip in the harness would. A one-byte arena ceiling trips
-				// at the first node check after the build stacks any items,
+				// at the first node check after the build holds any items,
 				// whatever the scheduling; a 1 ns deadline raced its timer
-				// against mostly-deferred lazy builds. The lazy build runs
-				// at the smallest R, since the base R defers every node of
-				// the small scenes before any items are stacked.
-				abortCfg := cfg
-				if algo.HasR() {
-					abortCfg.R = 16
-				}
-				_, err := b.BuildGuarded(tris, abortCfg, kdtree.Guard{MaxArenaBytes: 1})
+				// against mostly-deferred lazy builds.
+				_, err := b.BuildGuarded(tris, cfg, kdtree.Guard{MaxArenaBytes: 1})
 				var ab *kdtree.BuildAborted
 				if !errors.As(err, &ab) || ab.Cause != kdtree.AbortMemory {
 					t.Fatalf("%v: one-byte arena ceiling did not abort the build: %v", algo, err)

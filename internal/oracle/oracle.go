@@ -96,8 +96,10 @@ func NewReference(tris []vecmath.Triangle, rays []vecmath.Ray, tMin, tMax float6
 		hits: make([]refHit, len(rays)),
 	}
 	//kdlint:nocancel oracle ground-truth fan-out runs in tests, never inside a guarded build
-	parallel.ForEach(len(rays), o.Workers, func(i int) {
-		ref.hits[i] = linearClosest(tris, rays[i], tMin, tMax, o)
+	parallel.For(nil, len(rays), o.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ref.hits[i] = linearClosest(tris, rays[i], tMin, tMax, o)
+		}
 	})
 	return ref
 }

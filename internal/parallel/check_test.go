@@ -24,11 +24,11 @@ func TestInvariantLayerActive(t *testing.T) {
 		src[i] = float64(i%17) * 0.25
 	}
 	dst := make([]float64, len(src))
-	ExclusiveScan(dst, src, 8)
+	ExclusiveScan(nil, dst, src, 8)
 }
 
 // TestCancelerCheckedPerChunk pins the runtime half of the guard-discipline
-// contract: a Canceler threaded through ForChunksCancel is consulted at
+// contract: a Canceler threaded through ForChunks is consulted at
 // least once per dispatched chunk (wrapChunkBody asserts the same thing on
 // every clean dispatch; this test also pins the counter delta directly).
 func TestCancelerCheckedPerChunk(t *testing.T) {
@@ -37,7 +37,7 @@ func TestCancelerCheckedPerChunk(t *testing.T) {
 	chunks := ChunkCount(n, workers, 1)
 	before := cc.checkCount()
 	var ran atomic.Int64
-	ForChunksCancel(&cc, n, workers, 1, func(_, lo, hi int) { ran.Add(int64(hi - lo)) })
+	ForChunks(&cc, n, workers, 1, func(_, lo, hi int) { ran.Add(int64(hi - lo)) })
 	if ran.Load() != n {
 		t.Fatalf("ran %d iterations, want %d", ran.Load(), n)
 	}
@@ -67,7 +67,7 @@ func TestCancelerCheckedUnderInjection(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cc.Cancel(reason)
 	}()
-	ForChunksCancel(&cc, n, workers, 1, func(_, lo, hi int) { ran.Add(1) })
+	ForChunks(&cc, n, workers, 1, func(_, lo, hi int) { ran.Add(1) })
 	if !cc.Canceled() || !errors.Is(cc.Err(), reason) {
 		t.Fatalf("canceler not canceled with the expected reason: %v", cc.Err())
 	}

@@ -72,7 +72,7 @@ func TestLinkContextBackgroundIsNoop(t *testing.T) {
 }
 
 func TestLinkContextCancelAbortsFor(t *testing.T) {
-	// A linked canceler actually drains a running ForCancel region: the
+	// A linked canceler actually drains a running For region: the
 	// body spins until cancellation, so the dispatch only returns because
 	// the context fired.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -86,7 +86,7 @@ func TestLinkContextCancelAbortsFor(t *testing.T) {
 	}()
 	doneCh := make(chan struct{})
 	go func() {
-		ForCancel(&cc, 64, 4, func(lo, hi int) {
+		For(&cc, 64, 4, func(lo, hi int) {
 			for !cc.Canceled() {
 				time.Sleep(100 * time.Microsecond)
 			}
@@ -96,6 +96,6 @@ func TestLinkContextCancelAbortsFor(t *testing.T) {
 	select {
 	case <-doneCh:
 	case <-time.After(5 * time.Second):
-		t.Fatal("ForCancel did not drain after linked context cancel")
+		t.Fatal("For did not drain after linked context cancel")
 	}
 }

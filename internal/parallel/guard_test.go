@@ -34,7 +34,7 @@ func TestForChunksPanicPropagatesTyped(t *testing.T) {
 	const n, workers = 1000, 8
 	var ran atomic.Int64
 	wp := recoverWorkerPanic(t, func() {
-		ForChunks(n, workers, 1, func(chunk, lo, hi int) {
+		ForChunks(nil, n, workers, 1, func(chunk, lo, hi int) {
 			ran.Add(1)
 			if chunk == 3 {
 				panic("boom in chunk 3")
@@ -61,7 +61,7 @@ func TestForChunksInlinePanicWrapped(t *testing.T) {
 	// A single chunk runs inline on the caller; the panic must still arrive
 	// as the same typed value.
 	wp := recoverWorkerPanic(t, func() {
-		ForChunks(10, 1, 1, func(chunk, lo, hi int) { panic("inline") })
+		ForChunks(nil, 10, 1, 1, func(chunk, lo, hi int) { panic("inline") })
 	})
 	if wp.Chunk != 0 || wp.Value != "inline" {
 		t.Errorf("got chunk=%d value=%v", wp.Chunk, wp.Value)
@@ -71,7 +71,7 @@ func TestForChunksInlinePanicWrapped(t *testing.T) {
 func TestWorkerPanicUnwrap(t *testing.T) {
 	sentinel := errors.New("sentinel")
 	wp := recoverWorkerPanic(t, func() {
-		ForChunks(100, 4, 1, func(chunk, lo, hi int) { panic(sentinel) })
+		ForChunks(nil, 100, 4, 1, func(chunk, lo, hi int) { panic(sentinel) })
 	})
 	if !errors.Is(wp, sentinel) {
 		t.Errorf("errors.Is(wp, sentinel) = false; Unwrap must expose error panic values")
@@ -87,7 +87,7 @@ func TestForChunksFirstPanicWins(t *testing.T) {
 	// valid chunk index.
 	const n, workers = 64, 8
 	wp := recoverWorkerPanic(t, func() {
-		ForChunks(n, workers, 1, func(chunk, lo, hi int) {
+		ForChunks(nil, n, workers, 1, func(chunk, lo, hi int) {
 			panic(fmt.Sprintf("chunk %d", chunk))
 		})
 	})
@@ -139,7 +139,7 @@ func TestForChunksCancelSkipsRemaining(t *testing.T) {
 	var cc Canceler
 	cc.Cancel(errors.New("stop"))
 	ran := 0
-	ForChunksCancel(&cc, 1000, 8, 1, func(chunk, lo, hi int) { ran++ })
+	ForChunks(&cc, 1000, 8, 1, func(chunk, lo, hi int) { ran++ })
 	if ran != 0 {
 		t.Fatalf("pre-canceled dispatch ran %d chunks", ran)
 	}
@@ -151,7 +151,7 @@ func TestForChunksCancelSkipsRemaining(t *testing.T) {
 	// that DID run started before it observed the cancel flag.
 	cc.Reset()
 	var ranChunks atomic.Int64
-	ForChunksCancel(&cc, 1024, 8, 1, func(chunk, lo, hi int) {
+	ForChunks(&cc, 1024, 8, 1, func(chunk, lo, hi int) {
 		ranChunks.Add(1)
 		cc.Cancel(errors.New("from body"))
 	})
@@ -171,33 +171,8 @@ func TestExclusiveScanCancelPreCanceled(t *testing.T) {
 		src[i] = 1
 	}
 	dst := make([]int, len(src))
-	if got := ExclusiveScanCancel(&cc, dst, src, 8); got != 0 {
+	if got := ExclusiveScan(&cc, dst, src, 8); got != 0 {
 		t.Fatalf("pre-canceled scan returned %d, want zero", got)
-	}
-}
-
-func TestReduceCancelPreCanceled(t *testing.T) {
-	var cc Canceler
-	cc.Cancel(errors.New("stop"))
-	got := ReduceCancel(&cc, 10000, 8, 0, func(i int) int { return 1 }, func(a, b int) int { return a + b })
-	if got != 0 {
-		t.Fatalf("pre-canceled reduce returned %d, want identity", got)
-	}
-}
-
-func TestReducePanicPropagates(t *testing.T) {
-	// Reduce runs f inside chunk workers; a panic there must surface typed.
-	src := make([]int, 100000)
-	wp := recoverWorkerPanic(t, func() {
-		ReduceCancel(nil, len(src), 8, 0, func(i int) int {
-			if i == 50000 {
-				panic("mid-reduce")
-			}
-			return src[i]
-		}, func(a, b int) int { return a + b })
-	})
-	if wp.Value != "mid-reduce" {
-		t.Errorf("Value = %v", wp.Value)
 	}
 }
 
@@ -277,7 +252,7 @@ func TestSortFuncPanicPropagates(t *testing.T) {
 		// Every comparison panics; the first recovered one wins and must
 		// come out only after both halves have joined (under -race, a
 		// detached goroutine still writing s would be caught here).
-		SortFunc(s, 8, func(a, b int) int { panic("cmp panic") })
+		SortFunc(nil, s, 8, func(a, b int) int { panic("cmp panic") })
 	})
 	if wp.Value != "cmp panic" {
 		t.Errorf("Value = %v", wp.Value)
@@ -289,14 +264,14 @@ func TestSortFuncStillSortsAfterPanicRecovery(t *testing.T) {
 	// aborted — no poisoned shared state.
 	func() {
 		defer func() { recover() }()
-		SortFunc(make([]int, 100000), 4, func(a, b int) int { panic("x") })
+		SortFunc(nil, make([]int, 100000), 4, func(a, b int) int { panic("x") })
 	}()
 	r := rand.New(rand.NewSource(7))
 	s := make([]int, 100000)
 	for i := range s {
 		s[i] = r.Intn(1000)
 	}
-	SortFunc(s, 4, func(a, b int) int { return a - b })
+	SortFunc(nil, s, 4, func(a, b int) int { return a - b })
 	if !slices.IsSorted(s) {
 		t.Fatalf("not sorted after prior panic")
 	}

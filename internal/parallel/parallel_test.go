@@ -12,7 +12,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 2, 7, 100, 1001} {
 			seen := make([]int32, n)
-			For(n, workers, func(lo, hi int) {
+			For(nil, n, workers, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
 				}
@@ -28,7 +28,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 
 func TestForDefaultWorkers(t *testing.T) {
 	var count atomic.Int64
-	For(1000, 0, func(lo, hi int) { count.Add(int64(hi - lo)) })
+	For(nil, 1000, 0, func(lo, hi int) { count.Add(int64(hi - lo)) })
 	if count.Load() != 1000 {
 		t.Fatalf("covered %d of 1000", count.Load())
 	}
@@ -37,18 +37,9 @@ func TestForDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	n := 500
-	var sum atomic.Int64
-	ForEach(n, 4, func(i int) { sum.Add(int64(i)) })
-	if want := int64(n * (n - 1) / 2); sum.Load() != want {
-		t.Fatalf("sum = %d, want %d", sum.Load(), want)
-	}
-}
-
 func TestForGrainSequentialBelowGrain(t *testing.T) {
 	calls := 0 // no atomics: must run on the caller goroutine in one chunk
-	ForGrain(10, 8, 64, func(lo, hi int) {
+	ForChunks(nil, 10, 8, 64, func(_, lo, hi int) {
 		calls++
 		if lo != 0 || hi != 10 {
 			t.Fatalf("expected single chunk [0,10), got [%d,%d)", lo, hi)
@@ -62,7 +53,7 @@ func TestForGrainSequentialBelowGrain(t *testing.T) {
 func TestForGrainChunksRespectGrain(t *testing.T) {
 	var mu sync.Mutex
 	sizes := []int{}
-	ForGrain(1000, 4, 100, func(lo, hi int) {
+	ForChunks(nil, 1000, 4, 100, func(_, lo, hi int) {
 		mu.Lock()
 		sizes = append(sizes, hi-lo)
 		mu.Unlock()
@@ -134,20 +125,28 @@ func TestPoolWorkersBudget(t *testing.T) {
 	var cur, peak atomic.Int64
 	q := NewPool(2)
 	block := make(chan struct{})
+	// Wait must not race with Spawn (the Pool contract), so the spawning
+	// goroutines are joined before it.
+	var spawners sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		go q.Spawn(func() {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
+		spawners.Add(1)
+		go func() {
+			defer spawners.Done()
+			q.Spawn(func() {
+				c := cur.Add(1)
+				for {
+					p := peak.Load()
+					if c <= p || peak.CompareAndSwap(p, c) {
+						break
+					}
 				}
-			}
-			<-block
-			cur.Add(-1)
-		})
+				<-block
+				cur.Add(-1)
+			})
+		}()
 	}
 	close(block)
+	spawners.Wait()
 	q.Wait()
 }
 
@@ -165,7 +164,7 @@ func TestExclusiveScanMatchesSequential(t *testing.T) {
 			sum += src[i]
 		}
 		got := make([]int, n)
-		total := ExclusiveScan(got, src, 8)
+		total := ExclusiveScan(nil, got, src, 8)
 		if total != sum {
 			t.Fatalf("n=%d: total %d, want %d", n, total, sum)
 		}
@@ -183,7 +182,7 @@ func TestExclusiveScanInPlace(t *testing.T) {
 	for i := range src {
 		src[i] = 1
 	}
-	total := ExclusiveScan(src, src, 4)
+	total := ExclusiveScan(nil, src, src, 4)
 	if total != n {
 		t.Fatalf("total = %d", total)
 	}
@@ -197,7 +196,7 @@ func TestExclusiveScanInPlace(t *testing.T) {
 func TestExclusiveScanFloat(t *testing.T) {
 	src := []float64{0.5, 1.5, 2.0}
 	dst := make([]float64, 3)
-	total := ExclusiveScan(dst, src, 2)
+	total := ExclusiveScan(nil, dst, src, 2)
 	if total != 4.0 || dst[0] != 0 || dst[1] != 0.5 || dst[2] != 2.0 {
 		t.Fatalf("float scan wrong: %v total %v", dst, total)
 	}
@@ -209,7 +208,7 @@ func TestExclusiveScanLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on length mismatch")
 		}
 	}()
-	ExclusiveScan(make([]int, 2), make([]int, 3), 1)
+	ExclusiveScan(nil, make([]int, 2), make([]int, 3), 1)
 }
 
 func TestQuickScanProperty(t *testing.T) {
@@ -219,7 +218,7 @@ func TestQuickScanProperty(t *testing.T) {
 			src[i] = int(v)
 		}
 		dst := make([]int, len(src))
-		total := ExclusiveScan(dst, src, int(workers%8)+1)
+		total := ExclusiveScan(nil, dst, src, int(workers%8)+1)
 		sum := 0
 		for i, v := range src {
 			if dst[i] != sum {
@@ -234,29 +233,6 @@ func TestQuickScanProperty(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		got := Reduce(1000, workers, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
-		if got != 999*1000/2 {
-			t.Fatalf("workers=%d: sum = %d", workers, got)
-		}
-	}
-	// Max-reduction with a non-trivial identity.
-	vals := []int{3, 9, 1, 7, 9, 2}
-	got := Reduce(len(vals), 3, -1<<62, func(i int) int { return vals[i] }, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	if got != 9 {
-		t.Fatalf("max = %d", got)
-	}
-	if Reduce(0, 4, 42, func(int) int { return 0 }, func(a, b int) int { return a + b }) != 42 {
-		t.Fatal("empty reduce should return identity")
-	}
-}
-
 func TestSortFuncMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	for _, n := range []int{0, 1, 2, 100, 8191, 8192, 8193, 100000} {
@@ -265,7 +241,7 @@ func TestSortFuncMatchesSequential(t *testing.T) {
 			for i := range s {
 				s[i] = r.Intn(1000)
 			}
-			SortFunc(s, workers, func(a, b int) int { return a - b })
+			SortFunc(nil, s, workers, func(a, b int) int { return a - b })
 			for i := 1; i < n; i++ {
 				if s[i-1] > s[i] {
 					t.Fatalf("n=%d workers=%d: unsorted at %d", n, workers, i)
@@ -284,7 +260,7 @@ func TestSortFuncPreservesMultiset(t *testing.T) {
 		s[i] = r.Intn(64)
 		counts[s[i]]++
 	}
-	SortFunc(s, 8, func(a, b int) int { return a - b })
+	SortFunc(nil, s, 8, func(a, b int) int { return a - b })
 	for _, v := range s {
 		counts[v]--
 	}
@@ -305,7 +281,7 @@ func TestSortFuncStructsByKey(t *testing.T) {
 	for i := range s {
 		s[i] = kv{k: r.Float64(), v: i}
 	}
-	SortFunc(s, 4, func(a, b kv) int {
+	SortFunc(nil, s, 4, func(a, b kv) int {
 		switch {
 		case a.k < b.k:
 			return -1
@@ -327,7 +303,7 @@ func TestQuickSortProperty(t *testing.T) {
 		for i, v := range vals {
 			s[i] = int(v)
 		}
-		SortFunc(s, int(workers%8)+1, func(a, b int) int { return a - b })
+		SortFunc(nil, s, int(workers%8)+1, func(a, b int) int { return a - b })
 		for i := 1; i < len(s); i++ {
 			if s[i-1] > s[i] {
 				return false
@@ -350,17 +326,17 @@ func TestPoolWaitWithoutTasks(t *testing.T) {
 
 func TestForGrainDefensiveGrain(t *testing.T) {
 	var count atomic.Int64
-	ForGrain(100, 2, 0, func(lo, hi int) { count.Add(int64(hi - lo)) })
+	ForChunks(nil, 100, 2, 0, func(_, lo, hi int) { count.Add(int64(hi - lo)) })
 	if count.Load() != 100 {
 		t.Fatalf("covered %d of 100 with grain 0", count.Load())
 	}
-	ForGrain(0, 2, 8, func(lo, hi int) { t.Fatal("body called for empty range") })
+	ForChunks(nil, 0, 2, 8, func(_, lo, hi int) { t.Fatal("body called for empty range") })
 }
 
 func TestSortFuncEmptyAndSingle(t *testing.T) {
-	SortFunc([]int{}, 4, func(a, b int) int { return a - b })
+	SortFunc(nil, []int{}, 4, func(a, b int) int { return a - b })
 	s := []int{42}
-	SortFunc(s, 4, func(a, b int) int { return a - b })
+	SortFunc(nil, s, 4, func(a, b int) int { return a - b })
 	if s[0] != 42 {
 		t.Fatal("singleton mangled")
 	}

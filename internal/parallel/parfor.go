@@ -46,22 +46,21 @@ func ChunkCount(n, workers, grain int) int {
 // contract between the caller's arithmetic and the scheduler's: chunk is
 // always in [0, ChunkCount(n, workers, grain)) and chunks are numbered in
 // ascending range order. A single chunk runs inline on the caller.
-// workers <= 0 selects DefaultWorkers().
+// workers <= 0 selects DefaultWorkers(). The grain guards against
+// parallelisation overhead dominating tiny loops, the purpose OpenMP's
+// schedule chunk size serves.
+//
+// Cancellation is cooperative: chunks that have not started when cc is
+// canceled are skipped (in-flight chunks drain). After a canceled dispatch
+// the per-chunk outputs are an unspecified mix of written and untouched —
+// callers must check cc.Canceled() before consuming them. A nil cc is never
+// canceled and costs nothing.
 //
 // A panic in any chunk body is recovered on the worker, the first one wins,
 // and it is re-raised on the caller as a *WorkerPanic after all workers have
 // joined — a crashing chunk can never leave detached goroutines writing into
 // caller-owned storage.
-func ForChunks(n, workers, grain int, body func(chunk, lo, hi int)) {
-	ForChunksCancel(nil, n, workers, grain, body)
-}
-
-// ForChunksCancel is ForChunks with cooperative cancellation: chunks that
-// have not started when cc is canceled are skipped (in-flight chunks drain).
-// After a canceled dispatch the per-chunk outputs are an unspecified mix of
-// written and untouched — callers must check cc.Canceled() before consuming
-// them. A nil cc disables cancellation at no cost.
-func ForChunksCancel(cc *Canceler, n, workers, grain int, body func(chunk, lo, hi int)) {
+func ForChunks(cc *Canceler, n, workers, grain int, body func(chunk, lo, hi int)) {
 	chunks, size := chunkGeometry(n, workers, grain)
 	if chunks == 0 || cc.Canceled() {
 		return
@@ -123,64 +122,30 @@ func runChunk(box *panicBox, cc *Canceler, c, lo, hi int, body func(chunk, lo, h
 }
 
 // For divides the index range [0, n) into one contiguous chunk per worker
-// and runs body(lo, hi) on each chunk concurrently. It is the analogue of
-// "#pragma omp parallel for" with static scheduling. workers <= 0 selects
+// and runs body(lo, hi) on each chunk concurrently, with ForChunks'
+// cancellation and panic semantics. It is the analogue of "#pragma omp
+// parallel for" with static scheduling. workers <= 0 selects
 // DefaultWorkers(); small n degrades gracefully to fewer chunks or a plain
 // sequential call. Callers that need to know which chunk they are in must
 // use ForChunks instead of deriving it from lo.
-func For(n, workers int, body func(lo, hi int)) {
-	ForChunksCancel(nil, n, workers, 1, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForCancel is For with cooperative cancellation (see ForChunksCancel).
-func ForCancel(cc *Canceler, n, workers int, body func(lo, hi int)) {
-	ForChunksCancel(cc, n, workers, 1, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForGrain is For with an explicit minimum chunk size (grain). Ranges
-// shorter than grain run sequentially; larger ranges are split into chunks
-// of at least grain elements, at most one chunk per worker. The grain guards
-// against parallelisation overhead dominating tiny loops, the same purpose
-// OpenMP's schedule chunk size serves.
-func ForGrain(n, workers, grain int, body func(lo, hi int)) {
-	ForChunksCancel(nil, n, workers, grain, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForGrainCancel is ForGrain with cooperative cancellation.
-func ForGrainCancel(cc *Canceler, n, workers, grain int, body func(lo, hi int)) {
-	ForChunksCancel(cc, n, workers, grain, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForEach runs body(i) for every i in [0, n) using For with per-chunk
-// dispatch. Convenience wrapper for loops whose body is already coarse.
-func ForEach(n, workers int, body func(i int)) {
-	For(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
+func For(cc *Canceler, n, workers int, body func(lo, hi int)) {
+	ForChunks(cc, n, workers, 1, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // SplitBudget divides a worker budget between an outer loop of outerN
 // independent tasks and the parallelism available inside each task, so that
 // nesting parallel loops cannot oversubscribe the budget (outer·inner <=
-// workers always holds). Once the outer loop alone saturates the budget the
-// inner loops run sequentially. workers <= 0 selects DefaultWorkers().
-func SplitBudget(workers, outerN int) (outer, inner int) {
-	return SplitBudgetBias(workers, outerN, 0)
-}
-
-// SplitBudgetBias is SplitBudget with a discrete inner-parallelism bias:
-// each +1 of bias halves the outer width (rounding up, floor 1) and hands
-// the freed budget to the inner loops. bias 0 is SplitBudget exactly; the
-// useful range is small (0..3 in the builders' registered tunable). The
-// bias exists because the neutral split — outer first, leftovers inner — is
-// a heuristic, not an optimum: frontiers of few huge nodes profit from
-// deeper within-node parallelism than the neutral split grants, and where
-// that trade-off lies is a property of the machine, so it is searched
-// online instead of hard-coded. The oversubscription invariant
-// outer·inner <= workers holds for every bias.
-func SplitBudgetBias(workers, outerN, bias int) (outer, inner int) {
+// workers holds for every bias). With bias 0 the outer loop takes the budget
+// first and the inner loops get the leftovers; once the outer loop alone
+// saturates the budget the inner loops run sequentially. Each +1 of bias
+// halves the outer width (rounding up, floor 1) and hands the freed budget
+// to the inner loops; the useful range is small (0..3 in the builders'
+// registered tunable). The bias exists because the neutral split is a
+// heuristic, not an optimum: frontiers of few huge nodes profit from deeper
+// within-node parallelism than it grants, and where that trade-off lies is
+// a property of the machine, so it is searched online instead of
+// hard-coded. workers <= 0 selects DefaultWorkers().
+func SplitBudget(workers, outerN, bias int) (outer, inner int) {
 	workers = normWorkers(workers)
 	if outerN < 1 {
 		outerN = 1

@@ -3,15 +3,17 @@
 // the paper's C++ implementation:
 //
 //   - Pool.Spawn mirrors "#pragma omp task" (recursive subtree tasks),
-//   - For/ForGrain mirror "#pragma omp parallel for" (loops over primitives
-//     and rays),
-//   - ExclusiveScan/Reduce mirror the parallel prefix operations of the
-//     nested and in-place builders (Choi et al.),
+//   - For/ForChunks mirror "#pragma omp parallel for" (loops over primitives
+//     and rays; ForChunks adds the chunk index and a minimum chunk size),
+//   - ExclusiveScan mirrors the parallel prefix operations of the nested and
+//     in-place builders (Choi et al.), SortFunc the sweep's event sort,
 //   - per-node sync.Mutex in the lazy builder mirrors "#pragma omp critical".
 //
 // All primitives take an explicit worker count so the autotuner and the
 // platform-simulation harness (Figure 7c) can vary the parallelism budget
-// per invocation instead of being pinned to GOMAXPROCS.
+// per invocation instead of being pinned to GOMAXPROCS. Every dispatch takes
+// a *Canceler first, so a guarded build can abort it at chunk granularity; a
+// nil Canceler is never canceled.
 //
 // Fault containment: every goroutine this package launches (ForChunks
 // workers, SortFunc halves, Pool tasks) recovers panics and funnels the

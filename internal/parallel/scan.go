@@ -1,8 +1,7 @@
 package parallel
 
-// Number captures the element types the scan and reduction primitives
-// operate on. The builders only ever scan counts (int) and SAH partial sums
-// (float64).
+// Number captures the element types ExclusiveScan operates on. The builders
+// only ever scan counts (int) and SAH partial sums (float64).
 type Number interface {
 	~int | ~int32 | ~int64 | ~float64
 }
@@ -17,15 +16,11 @@ type Number interface {
 // prefixes in parallel. This is the "sequence of parallel prefix operations"
 // substrate of the nested and in-place builders. Worker panics propagate as
 // *WorkerPanic after all workers join (see ForChunks).
-func ExclusiveScan[T Number](dst, src []T, workers int) T {
-	return ExclusiveScanCancel(nil, dst, src, workers)
-}
-
-// ExclusiveScanCancel is ExclusiveScan with cooperative cancellation: blocks
-// not yet started when cc is canceled are skipped, which leaves dst and the
-// returned total meaningless — callers must check cc.Canceled() before using
-// either. A nil cc disables cancellation.
-func ExclusiveScanCancel[T Number](cc *Canceler, dst, src []T, workers int) T {
+//
+// Blocks not yet started when cc is canceled are skipped, which leaves dst
+// and the returned total meaningless — callers must check cc.Canceled()
+// before using either. A nil cc is never canceled.
+func ExclusiveScan[T Number](cc *Canceler, dst, src []T, workers int) T {
 	if len(dst) != len(src) {
 		panic("parallel: ExclusiveScan length mismatch")
 	}
@@ -55,7 +50,7 @@ func ExclusiveScanCancel[T Number](cc *Canceler, dst, src []T, workers int) T {
 	blockLen := (n + blocks - 1) / blocks
 	sums := make([]T, blocks)
 
-	ForCancel(cc, blocks, workers, func(bLo, bHi int) {
+	For(cc, blocks, workers, func(bLo, bHi int) {
 		for b := bLo; b < bHi; b++ {
 			lo, hi := b*blockLen, (b+1)*blockLen
 			if lo >= n {
@@ -83,7 +78,7 @@ func ExclusiveScanCancel[T Number](cc *Canceler, dst, src []T, workers int) T {
 		total += s
 	}
 
-	ForCancel(cc, blocks, workers, func(bLo, bHi int) {
+	For(cc, blocks, workers, func(bLo, bHi int) {
 		for b := bLo; b < bHi; b++ {
 			lo, hi := b*blockLen, (b+1)*blockLen
 			if lo >= n {
@@ -104,45 +99,4 @@ func ExclusiveScanCancel[T Number](cc *Canceler, dst, src []T, workers int) T {
 		verifyScan(ref, dst, total)
 	}
 	return total
-}
-
-// Reduce combines f(i) for all i in [0, n) with the associative merge
-// function, starting from identity. Each worker folds a contiguous chunk
-// locally and the per-chunk partials are merged sequentially in ascending
-// chunk order, so merge is called O(workers) times and — because the merge
-// order is fixed — the result is deterministic for any worker count as long
-// as merge is associative (commutativity is not required). Worker panics
-// propagate as *WorkerPanic after all workers join.
-func Reduce[T any](n, workers int, identity T, f func(i int) T, merge func(a, b T) T) T {
-	return ReduceCancel(nil, n, workers, identity, f, merge)
-}
-
-// ReduceCancel is Reduce with cooperative cancellation. A canceled reduction
-// returns a meaningless partial fold — callers must check cc.Canceled()
-// before using the result. A nil cc disables cancellation.
-func ReduceCancel[T any](cc *Canceler, n, workers int, identity T, f func(i int) T, merge func(a, b T) T) T {
-	if n <= 0 || cc.Canceled() {
-		return identity
-	}
-	chunks := ChunkCount(n, workers, 1)
-	if chunks == 1 {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = merge(acc, f(i))
-		}
-		return acc
-	}
-	partials := make([]T, chunks)
-	ForChunksCancel(cc, n, workers, 1, func(chunk, lo, hi int) {
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = merge(acc, f(i))
-		}
-		partials[chunk] = acc
-	})
-	acc := identity
-	for _, p := range partials {
-		acc = merge(acc, p)
-	}
-	return acc
 }

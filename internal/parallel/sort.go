@@ -19,21 +19,17 @@ const sortSequentialCutoff = 8192
 // A panic in cmp (on any half, goroutine or caller side) is captured, every
 // worker joins, and the first panic is re-raised on the caller as a
 // *WorkerPanic — no half is left sorting s after SortFunc returns.
-func SortFunc[T any](s []T, workers int, cmp func(a, b T) int) {
-	SortFuncCancel(nil, s, workers, cmp)
-}
-
-// SortFuncCancel is SortFunc with cooperative cancellation: subproblems that
-// have not started when cc is canceled are skipped and pending merges are
-// abandoned (in-flight leaf sorts drain). After a canceled call s is an
-// unspecified permutation of its elements — callers must check cc.Canceled()
-// before relying on the order. A nil cc disables cancellation at no cost.
 //
-// Cancellation matters here because the sort is the single longest
-// uninterruptible stretch of a build: the sort-once builder sorts six events
-// per primitive in one call, so without a cancellation point a guarded
-// build's deadline could not fire until millions of comparisons finished.
-func SortFuncCancel[T any](cc *Canceler, s []T, workers int, cmp func(a, b T) int) {
+// Subproblems that have not started when cc is canceled are skipped and
+// pending merges are abandoned (in-flight leaf sorts drain). After a
+// canceled call s is an unspecified permutation of its elements — callers
+// must check cc.Canceled() before relying on the order. A nil cc is never
+// canceled. Cancellation matters here because the sort is the single
+// longest uninterruptible stretch of a build: the sort-once builder sorts
+// six events per primitive in one call, so without a cancellation point a
+// guarded build's deadline could not fire until millions of comparisons
+// finished.
+func SortFunc[T any](cc *Canceler, s []T, workers int, cmp func(a, b T) int) {
 	if cc.Canceled() {
 		return
 	}

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,7 @@ func TestForChunksContract(t *testing.T) {
 		type span struct{ lo, hi int }
 		spans := make([]span, chunks)
 		var called atomic.Int32
-		ForChunks(n, workers, grain, func(chunk, lo, hi int) {
+		ForChunks(nil, n, workers, grain, func(chunk, lo, hi int) {
 			if chunk < 0 || chunk >= chunks {
 				t.Errorf("n=%d w=%d g=%d: chunk %d outside [0,%d)", n, workers, grain, chunk, chunks)
 				return
@@ -58,7 +57,7 @@ func TestForChunksContract(t *testing.T) {
 
 func TestForChunksRespectsGrain(t *testing.T) {
 	var spans sync.Map
-	ForChunks(10000, 16, 1000, func(chunk, lo, hi int) { spans.Store(chunk, hi-lo) })
+	ForChunks(nil, 10000, 16, 1000, func(chunk, lo, hi int) { spans.Store(chunk, hi-lo) })
 	spans.Range(func(_, v any) bool {
 		if v.(int) < 1000 {
 			t.Fatalf("chunk of %d elements below grain 1000", v.(int))
@@ -67,26 +66,6 @@ func TestForChunksRespectsGrain(t *testing.T) {
 	})
 	if got := ChunkCount(10, 8, 64); got != 1 {
 		t.Fatalf("ChunkCount(10,8,64) = %d, want 1 (whole range below grain)", got)
-	}
-}
-
-// TestReduceAssociativeOnly proves the chunk-indexed Reduce no longer needs
-// a commutative merge: partials are merged in ascending chunk order, so an
-// order-sensitive (but associative) merge like string concatenation must
-// reproduce the sequential result for every worker count.
-func TestReduceAssociativeOnly(t *testing.T) {
-	n := 500
-	want := ""
-	for i := 0; i < n; i++ {
-		want += fmt.Sprintf("%d,", i)
-	}
-	for _, workers := range []int{1, 2, 3, 7, 16, 0, -4} {
-		got := Reduce(n, workers, "",
-			func(i int) string { return fmt.Sprintf("%d,", i) },
-			func(a, b string) string { return a + b })
-		if got != want {
-			t.Fatalf("workers=%d: concat reduce is not in index order", workers)
-		}
 	}
 }
 
@@ -102,7 +81,7 @@ func TestSplitBudget(t *testing.T) {
 		{0, 0, 0, 0}, // defaults: just check invariants below
 		{-3, 5, 0, 0},
 	} {
-		outer, inner := SplitBudget(tc.workers, tc.outerN)
+		outer, inner := SplitBudget(tc.workers, tc.outerN, 0)
 		if tc.wantOuter != 0 && (outer != tc.wantOuter || inner != tc.wantInner) {
 			t.Fatalf("SplitBudget(%d,%d) = (%d,%d), want (%d,%d)",
 				tc.workers, tc.outerN, outer, inner, tc.wantOuter, tc.wantInner)
@@ -119,7 +98,7 @@ func TestSplitBudgetBias(t *testing.T) {
 	for _, tc := range []struct {
 		workers, outerN, bias, wantOuter, wantInner int
 	}{
-		{8, 8, 0, 8, 1}, // bias 0 == SplitBudget
+		{8, 8, 0, 8, 1},
 		{8, 8, 1, 4, 2},
 		{8, 8, 2, 2, 4},
 		{8, 8, 3, 1, 8},
@@ -129,25 +108,14 @@ func TestSplitBudgetBias(t *testing.T) {
 		{1, 10, 3, 1, 1},
 		{6, 5, 1, 3, 2},
 	} {
-		outer, inner := SplitBudgetBias(tc.workers, tc.outerN, tc.bias)
+		outer, inner := SplitBudget(tc.workers, tc.outerN, tc.bias)
 		if outer != tc.wantOuter || inner != tc.wantInner {
-			t.Fatalf("SplitBudgetBias(%d,%d,%d) = (%d,%d), want (%d,%d)",
+			t.Fatalf("SplitBudget(%d,%d,%d) = (%d,%d), want (%d,%d)",
 				tc.workers, tc.outerN, tc.bias, outer, inner, tc.wantOuter, tc.wantInner)
 		}
 		if outer < 1 || inner < 1 || outer*inner > normWorkers(tc.workers) {
-			t.Fatalf("SplitBudgetBias(%d,%d,%d) = (%d,%d) oversubscribes budget",
+			t.Fatalf("SplitBudget(%d,%d,%d) = (%d,%d) oversubscribes budget",
 				tc.workers, tc.outerN, tc.bias, outer, inner)
-		}
-	}
-	// Neutral bias must agree with SplitBudget over a sweep.
-	for workers := 1; workers <= 16; workers++ {
-		for outerN := 1; outerN <= 20; outerN++ {
-			o1, i1 := SplitBudget(workers, outerN)
-			o2, i2 := SplitBudgetBias(workers, outerN, 0)
-			if o1 != o2 || i1 != i2 {
-				t.Fatalf("bias 0 diverges at (%d,%d): (%d,%d) vs (%d,%d)",
-					workers, outerN, o1, i1, o2, i2)
-			}
 		}
 	}
 }
@@ -180,7 +148,7 @@ func TestStressScanReducePool(t *testing.T) {
 					wantSum += v
 				}
 				dst := make([]int, n)
-				if total := ExclusiveScan(dst, src, workers); total != wantSum {
+				if total := ExclusiveScan(nil, dst, src, workers); total != wantSum {
 					t.Errorf("scan total %d, want %d", total, wantSum)
 					return
 				}
@@ -190,11 +158,20 @@ func TestStressScanReducePool(t *testing.T) {
 						return
 					}
 				}
-				got := Reduce(n, workers, 0,
-					func(i int) int { return src[i] },
-					func(a, b int) int { return a + b })
+				// A chunk-indexed reduction: per-chunk partials merged in
+				// ascending chunk order, the pattern the builders use.
+				partials := make([]int, ChunkCount(n, workers, 1))
+				ForChunks(nil, n, workers, 1, func(chunk, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						partials[chunk] += src[i]
+					}
+				})
+				got := 0
+				for _, v := range partials {
+					got += v
+				}
 				if got != wantSum {
-					t.Errorf("reduce %d, want %d", got, wantSum)
+					t.Errorf("chunked reduce %d, want %d", got, wantSum)
 					return
 				}
 				p := NewPool(workers)
@@ -215,7 +192,7 @@ func TestStressScanReducePool(t *testing.T) {
 }
 
 // TestForChunksNestedBudget exercises the nested-loop pattern the in-place
-// builder uses: an outer ForEach over nodes wrapping inner ForChunks calls
+// builder uses: an outer For over nodes wrapping inner ForChunks calls
 // with a split budget, with per-chunk counting and offset-based writes.
 func TestForChunksNestedBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
@@ -224,19 +201,21 @@ func TestForChunksNestedBudget(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = r.Intn(20000)
 	}
-	outerW, innerW := SplitBudget(8, outerN)
+	outerW, innerW := SplitBudget(8, outerN, 0)
 	results := make([]int, outerN)
-	ForEach(outerN, outerW, func(ni int) {
-		n := sizes[ni]
-		counts := make([]int, ChunkCount(n, innerW, 256))
-		ForChunks(n, innerW, 256, func(chunk, lo, hi int) {
-			counts[chunk] = hi - lo
-		})
-		total := 0
-		for _, c := range counts {
-			total += c
+	For(nil, outerN, outerW, func(lo, hi int) {
+		for ni := lo; ni < hi; ni++ {
+			n := sizes[ni]
+			counts := make([]int, ChunkCount(n, innerW, 256))
+			ForChunks(nil, n, innerW, 256, func(chunk, lo, hi int) {
+				counts[chunk] = hi - lo
+			})
+			total := 0
+			for _, c := range counts {
+				total += c
+			}
+			results[ni] = total
 		}
-		results[ni] = total
 	})
 	for i, got := range results {
 		if got != sizes[i] {

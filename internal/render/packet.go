@@ -55,7 +55,7 @@ func renderPackets(im *Image, tree *kdtree.Tree, cam Camera, lights []vecmath.Ve
 	// Parallelise across tiles: like the scalar path's rows, tiles are a
 	// disjoint partition of the image, so worker count cannot change pixels.
 	// A nil opt.Cancel never cancels; a linked one drains at the next tile.
-	parallel.ForCancel(opt.Cancel, tilesX*tilesY, opt.Workers, func(lo, hi int) {
+	parallel.For(opt.Cancel, tilesX*tilesY, opt.Workers, func(lo, hi int) {
 		ctx := packetCtxPool.Get().(*packetCtx)
 		local := RenderStats{}
 		for ti := lo; ti < hi; ti++ {

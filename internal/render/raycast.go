@@ -207,7 +207,7 @@ func renderCore(im *Image, tree *kdtree.Tree, view scene.View, lights []vecmath.
 	// independently for every ray, we parallelize intersection testing
 	// across different rays". A nil opt.Cancel is never canceled, so the
 	// unguarded frame loop pays one atomic load per row.
-	parallel.ForCancel(opt.Cancel, opt.Height, opt.Workers, func(yLo, yHi int) {
+	parallel.For(opt.Cancel, opt.Height, opt.Workers, func(yLo, yHi int) {
 		local := RenderStats{}
 		samples := opt.Samples
 		inv := 1.0 / float64(samples*samples)

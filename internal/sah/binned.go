@@ -191,17 +191,13 @@ const DefaultBinGrain = 2048
 // and the merge order is fixed by the explicit chunk index — which is what
 // lets the builders guarantee worker-count-independent trees even with the
 // grain tuned per build.
-func FindBestSplitBinnedChunks(p Params, node vecmath.AABB, n, bins, workers, grain int, fill func(bs *BinSet, lo, hi int)) (Split, bool) {
-	return FindBestSplitBinnedChunksCancel(nil, p, node, n, bins, workers, grain, fill)
-}
-
-// FindBestSplitBinnedChunksCancel is FindBestSplitBinnedChunks with
-// cooperative cancellation: chunks not yet histogrammed when cc is canceled
-// are skipped and the partial histograms are discarded, so a guarded build's
-// abort propagates through the split search at chunk granularity. A canceled
-// search returns (Split{}, false); callers must check cc before trusting
-// even that. A nil cc disables cancellation.
-func FindBestSplitBinnedChunksCancel(cc *parallel.Canceler, p Params, node vecmath.AABB, n, bins, workers, grain int, fill func(bs *BinSet, lo, hi int)) (Split, bool) {
+//
+// Chunks not yet histogrammed when cc is canceled are skipped and the
+// partial histograms are discarded, so a guarded build's abort propagates
+// through the split search at chunk granularity. A canceled search returns
+// (Split{}, false); callers must check cc before trusting even that. A nil
+// cc is never canceled.
+func FindBestSplitBinnedChunks(cc *parallel.Canceler, p Params, node vecmath.AABB, n, bins, workers, grain int, fill func(bs *BinSet, lo, hi int)) (Split, bool) {
 	if grain <= 0 {
 		grain = DefaultBinGrain
 	}
@@ -217,7 +213,7 @@ func FindBestSplitBinnedChunksCancel(cc *parallel.Canceler, p Params, node vecma
 		sets = sets[:nChunks]
 		clear(sets)
 	}
-	parallel.ForChunksCancel(cc, n, workers, grain, func(chunk, lo, hi int) {
+	parallel.ForChunks(cc, n, workers, grain, func(chunk, lo, hi int) {
 		bs := getBinSet(node, bins)
 		fill(bs, lo, hi)
 		sets[chunk] = bs

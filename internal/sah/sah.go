@@ -102,25 +102,16 @@ type event struct {
 // FindBestSplitSweep runs the event-sweep split search over all three axes.
 // prims holds each primitive's bounds clipped to the node (empty boxes are
 // ignored). It returns the minimum-cost split and false if no valid
-// candidate plane exists.
-func FindBestSplitSweep(p Params, node vecmath.AABB, prims []vecmath.AABB) (Split, bool) {
-	return FindBestSplitSweepCancel(nil, p, node, prims, 1)
-}
-
-// FindBestSplitSweepWorkers is FindBestSplitSweep with a parallelism budget
-// for the event sort — sorting dominates the sweep's cost, and the builders
-// hand the budget down for the topmost (largest) nodes.
-func FindBestSplitSweepWorkers(p Params, node vecmath.AABB, prims []vecmath.AABB, workers int) (Split, bool) {
-	return FindBestSplitSweepCancel(nil, p, node, prims, workers)
-}
-
-// FindBestSplitSweepCancel is FindBestSplitSweepWorkers with cooperative
-// cancellation threaded into the parallel event sort: the sort is the single
+// candidate plane exists. workers is the parallelism budget of the event
+// sort — sorting dominates the sweep's cost, and the builders hand the
+// budget down for the topmost (largest) nodes.
+//
+// cc is threaded into the parallel event sort: the sort is the single
 // longest uninterruptible stretch of a top-level node's split search, and
 // without a cancellation point a guarded build's deadline could not fire
 // until it finished. A canceled search returns (Split{}, false); callers
-// must check cc before trusting even that. A nil cc disables cancellation.
-func FindBestSplitSweepCancel(cc *parallel.Canceler, p Params, node vecmath.AABB, prims []vecmath.AABB, workers int) (Split, bool) {
+// must check cc before trusting even that. A nil cc is never canceled.
+func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prims []vecmath.AABB, workers int) (Split, bool) {
 	best := Split{Cost: math.Inf(1)}
 	found := false
 	areaNode := node.SurfaceArea()
@@ -206,7 +197,7 @@ func FindBestSplitSweepCancel(cc *parallel.Canceler, p Params, node vecmath.AABB
 // sortEvents orders events by (pos, kind) so the sweep sees ends before
 // planars before starts at coincident positions.
 func sortEvents(cc *parallel.Canceler, ev []event, workers int) {
-	parallel.SortFuncCancel(cc, ev, workers, func(a, b event) int {
+	parallel.SortFunc(cc, ev, workers, func(a, b event) int {
 		switch {
 		case a.pos < b.pos:
 			return -1

@@ -63,7 +63,7 @@ func twoClusterPrims() (vecmath.AABB, []vecmath.AABB) {
 func TestSweepFindsGapSplit(t *testing.T) {
 	node, prims := twoClusterPrims()
 	p := DefaultParams()
-	s, ok := FindBestSplitSweep(p, node, prims)
+	s, ok := FindBestSplitSweep(nil, p, node, prims, 1)
 	if !ok {
 		t.Fatal("no split found")
 	}
@@ -168,7 +168,7 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 		if len(prims) == 0 {
 			continue
 		}
-		got, okG := FindBestSplitSweep(p, node, prims)
+		got, okG := FindBestSplitSweep(nil, p, node, prims, 1)
 		want, okW := bruteForceBestSplit(p, node, prims)
 		if okG != okW {
 			t.Fatalf("trial %d: sweep found=%v brute found=%v", trial, okG, okW)
@@ -190,7 +190,7 @@ func TestSweepEmptySpaceCutoff(t *testing.T) {
 	node := box(0, 0, 0, 100, 1, 1)
 	prims := []vecmath.AABB{box(0, 0, 0, 1, 1, 1)}
 	p := Params{CT: 1, CI: 100, CB: 0}
-	s, ok := FindBestSplitSweep(p, node, prims)
+	s, ok := FindBestSplitSweep(nil, p, node, prims, 1)
 	if !ok {
 		t.Fatal("no split found")
 	}
@@ -207,17 +207,17 @@ func TestSweepEmptySpaceCutoff(t *testing.T) {
 
 func TestSweepNoCandidates(t *testing.T) {
 	p := DefaultParams()
-	if _, ok := FindBestSplitSweep(p, box(0, 0, 0, 1, 1, 1), nil); ok {
+	if _, ok := FindBestSplitSweep(nil, p, box(0, 0, 0, 1, 1, 1), nil, 1); ok {
 		t.Fatal("split found with no primitives")
 	}
 	// All primitive bounds coincide with node faces: no interior candidate.
 	node := box(0, 0, 0, 1, 1, 1)
 	prims := []vecmath.AABB{node, node}
-	if s, ok := FindBestSplitSweep(p, node, prims); ok {
+	if s, ok := FindBestSplitSweep(nil, p, node, prims, 1); ok {
 		t.Fatalf("split found with face-only candidates: %+v", s)
 	}
 	// Empty boxes are ignored.
-	if _, ok := FindBestSplitSweep(p, node, []vecmath.AABB{vecmath.EmptyAABB()}); ok {
+	if _, ok := FindBestSplitSweep(nil, p, node, []vecmath.AABB{vecmath.EmptyAABB()}, 1); ok {
 		t.Fatal("split found with only empty boxes")
 	}
 }
@@ -230,7 +230,7 @@ func TestSweepCountsStraddlers(t *testing.T) {
 		box(1.2, 0, 0, 2, 1, 1),
 	}
 	p := Params{CT: 10, CI: 17, CB: 0}
-	s, ok := FindBestSplitSweep(p, node, prims)
+	s, ok := FindBestSplitSweep(nil, p, node, prims, 1)
 	if !ok {
 		t.Fatal("no split")
 	}
@@ -248,7 +248,7 @@ func TestHighCBAvoidsStraddlingSplits(t *testing.T) {
 		box(0, 0.7, 0, 1, 1, 1),
 	}
 	p := Params{CT: 1, CI: 50, CB: 1000}
-	s, ok := FindBestSplitSweep(p, node, prims)
+	s, ok := FindBestSplitSweep(nil, p, node, prims, 1)
 	if !ok {
 		t.Fatal("no split")
 	}
@@ -322,7 +322,7 @@ func TestBinnedApproximatesSweep(t *testing.T) {
 				prims = append(prims, b)
 			}
 		}
-		sw, okS := FindBestSplitSweep(p, node, prims)
+		sw, okS := FindBestSplitSweep(nil, p, node, prims, 1)
 		bn, okB := FindBestSplitBinned(p, node, prims, 64)
 		if !okS || !okB {
 			continue
@@ -362,8 +362,8 @@ func TestSweepWorkersEquivalence(t *testing.T) {
 		prims[i] = vecmath.NewAABB(c.Sub(d), c.Add(d)).Intersect(node)
 	}
 	p := DefaultParams()
-	seq, okS := FindBestSplitSweepWorkers(p, node, prims, 1)
-	par, okP := FindBestSplitSweepWorkers(p, node, prims, 8)
+	seq, okS := FindBestSplitSweep(nil, p, node, prims, 1)
+	par, okP := FindBestSplitSweep(nil, p, node, prims, 8)
 	if okS != okP || seq != par {
 		t.Fatalf("parallel sweep differs: %+v vs %+v", par, seq)
 	}
