@@ -506,22 +506,6 @@ func BenchmarkMedianVsSAH(b *testing.B) {
 	}
 }
 
-// BenchmarkSortOnceVsPerNode contrasts the two Wald–Havran formulations:
-// the per-node-sort recursion the paper's node-level variant uses (§IV-A,
-// O(N log² N)) against the sort-once event-splicing O(N log N) build.
-func BenchmarkSortOnceVsPerNode(b *testing.B) {
-	sc := cachedScene(b, "Sponza")
-	tris := sc.Triangles(0)
-	for _, algo := range []kdtree.Algorithm{kdtree.AlgoNodeLevel, kdtree.AlgoSortOnce} {
-		b.Run(algo.String(), func(b *testing.B) {
-			cfg := kdtree.BaseConfig(algo)
-			for i := 0; i < b.N; i++ {
-				kdtree.Build(tris, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkKDTreeVsBVH puts the paper's structure next to the other
 // standard acceleration structure (the related work's BVH): build cost and
 // closest-hit traversal cost on the same scene.

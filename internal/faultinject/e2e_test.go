@@ -23,7 +23,7 @@ import (
 
 var allAlgorithms = []kdtree.Algorithm{
 	kdtree.AlgoNodeLevel, kdtree.AlgoNested, kdtree.AlgoInPlace,
-	kdtree.AlgoLazy, kdtree.AlgoMedian, kdtree.AlgoSortOnce,
+	kdtree.AlgoLazy, kdtree.AlgoMedian,
 }
 
 func e2eTriangles(n int) []vecmath.Triangle {
@@ -143,7 +143,7 @@ func TestPanicInParallelChunk(t *testing.T) {
 // task) arrives through the pool's panic handler, not a process crash.
 func TestPanicInPoolTask(t *testing.T) {
 	tris := e2eTriangles(6000)
-	for _, a := range []kdtree.Algorithm{kdtree.AlgoNodeLevel, kdtree.AlgoMedian, kdtree.AlgoSortOnce} {
+	for _, a := range []kdtree.Algorithm{kdtree.AlgoNodeLevel, kdtree.AlgoMedian} {
 		drillPanic(t, e2eConfig(a), tris, faultinject.Fault{
 			Site: faultinject.SitePoolTask, Index: -1, Kind: faultinject.KindPanic, Count: 1,
 		})

@@ -35,7 +35,7 @@ func TestIntersectZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless under -race")
 	}
-	tree, _ := allocTestTree(t, AlgoSortOnce, 3000)
+	tree, _ := allocTestTree(t, AlgoNodeLevel, 3000)
 	r := rand.New(rand.NewSource(77))
 	rays := make([]vecmath.Ray, 64)
 	for i := range rays {
@@ -118,7 +118,7 @@ func BenchmarkBuilderRebuild(b *testing.B) {
 
 // BenchmarkIntersectHot measures the traversal inner loop on a warm tree.
 func BenchmarkIntersectHot(b *testing.B) {
-	tree, _ := allocTestTree(b, AlgoSortOnce, 10000)
+	tree, _ := allocTestTree(b, AlgoNodeLevel, 10000)
 	r := rand.New(rand.NewSource(31))
 	rays := make([]vecmath.Ray, 256)
 	for i := range rays {

@@ -81,26 +81,22 @@ type arena struct {
 	defTris  []int32
 
 	// Stack allocators for data that must survive into child recursion:
-	// per-node item lists and (sort-once) per-node event lists. Windows are
-	// carved with allocItems/allocEvents and unwound with mark/release in
-	// strict LIFO order. Growing the backing array strands the old one, but
-	// outstanding windows keep it alive and the stack resumes on the new
-	// array, so held slices stay valid.
+	// per-node item lists and the sweep engine's per-node event lists.
+	// Windows are carved with allocItems/allocEvents and unwound with
+	// mark/release in strict LIFO order. Growing the backing array strands
+	// the old one, but outstanding windows keep it alive and the stack
+	// resumes on the new array, so held slices stay valid.
 	items  []item
-	events []soEvent
+	events []uint32
 
 	// Per-node scratch that dies before the recursion descends; plain
 	// resize-and-reuse, no stack discipline needed.
-	boxes    []vecmath.AABB // decideSplitSweep: bounds column for the sweep
-	cls      []uint8        // sort-once: per-slot plane classification
-	slotL    []int32        // sort-once: old slot -> left-child slot
-	slotR    []int32        // sort-once: old slot -> right-child slot
-	evNewL   []soEvent      // sort-once: regenerated straddler events, left
-	evNewR   []soEvent      // sort-once: regenerated straddler events, right
-	flags    []sideFlag     // nested: classification flags
-	cntL     []int          // nested: left write offsets (prefix-scanned)
-	cntR     []int          // nested: right write offsets
-	narrowed []nbox         // nested: narrowed child boxes from classification
+	keys   []evKey  // sweep: one axis's events with positions, for sorting
+	slots  []uint32 // sweep: parent slot -> child slot of a spliced item
+	freshL []uint32 // sweep: left-child slots that get fresh events
+	freshR []uint32 // sweep: right-child slots that get fresh events
+	cntL   []int    // nested: left write offsets (prefix-scanned)
+	cntR   []int    // nested: right write offsets
 
 	// live, when non-nil, accumulates the bytes held by the item and event
 	// stacks (and, on the main arena, the breadth-first level item arrays)
@@ -115,12 +111,8 @@ type arena struct {
 // Byte sizes of the stack-allocated element types for live accounting.
 const (
 	itemBytes  = int64(unsafe.Sizeof(item{}))
-	eventBytes = int64(unsafe.Sizeof(soEvent{}))
+	eventBytes = int64(unsafe.Sizeof(uint32(0)))
 )
-
-// nbox caches the narrowed left/right bounds computed during the nested
-// builder's classification pass.
-type nbox struct{ l, r vecmath.AABB }
 
 // reset truncates all storage, keeping capacity for the next build.
 func (a *arena) reset() {
@@ -169,11 +161,11 @@ func (a *arena) releaseEvents(m int) {
 	a.events = a.events[:m]
 }
 
-func (a *arena) allocEvents(n int) []soEvent {
+func (a *arena) allocEvents(n int) []uint32 {
 	a.charge(int64(n) * eventBytes)
 	m := len(a.events)
 	if m+n > cap(a.events) {
-		grown := make([]soEvent, m, growCap(m+n))
+		grown := make([]uint32, m, growCap(m+n))
 		copy(grown, a.events)
 		a.events = grown
 	}
@@ -181,10 +173,20 @@ func (a *arena) allocEvents(n int) []soEvent {
 	return a.events[m : m+n : m+n]
 }
 
-// growCap picks the new backing capacity for a stack allocator: at least
-// need, at least double the demand to amortise regrowth.
+// allocEventLists carves one node's per-axis event lists, empty with room
+// for exactly n[axis] events each.
+func (a *arena) allocEventLists(n [3]int) evLists {
+	w := a.allocEvents(n[0] + n[1] + n[2])
+	y, z := n[0], n[0]+n[1]
+	return evLists{w[:0:y], w[y:y:z], w[z:z:len(w)]}
+}
+
+// growCap picks the new backing capacity for a stack allocator or a scratch
+// buffer: the demand plus half again, enough to amortise regrowth without
+// every pooled arena (and every Builder a server keeps per cached tree)
+// holding twice its peak for good.
 func growCap(need int) int {
-	c := 2 * need
+	c := need + need/2
 	if c < 64 {
 		c = 64
 	}

@@ -1,6 +1,8 @@
 package kdtree
 
 import (
+	"math"
+
 	"kdtune/internal/faultinject"
 	"kdtune/internal/parallel"
 	"kdtune/internal/sah"
@@ -80,17 +82,23 @@ func (c *buildCtx) makeDeferred(a *arena, items []item, bounds vecmath.AABB, dep
 	c.counters.noteDeferred(depth)
 }
 
-// childBounds returns the bounds of item it inside child box, either by
-// re-clipping the source triangle (perfect splits) or by box intersection.
-func (c *buildCtx) childBounds(it item, child vecmath.AABB) (vecmath.AABB, bool) {
+// childBounds returns the bounds of item it inside child, a half of the
+// node holding it split along axis, either by re-clipping the source
+// triangle (perfect splits) or by box intersection. The intersection only
+// narrows the extent along axis: the child shares every other face with
+// the node, and an item's box is always its own intersection with the node
+// holding it (the root's with the union of all boxes), which intersecting
+// with the node again leaves unchanged, bit for bit.
+func (c *buildCtx) childBounds(it item, child vecmath.AABB, axis vecmath.Axis) (vecmath.AABB, bool) {
 	if c.cfg.UseClipping {
 		return vecmath.ClipTriangleBounds(c.tris[it.tri], child)
 	}
-	b := it.bounds.Intersect(child)
-	if b.IsEmpty() {
-		return b, false
-	}
-	return b, true
+	b := it.bounds
+	lo := math.Max(b.Min.Axis(axis), child.Min.Axis(axis))
+	hi := math.Min(b.Max.Axis(axis), child.Max.Axis(axis))
+	b.Min = b.Min.SetAxis(axis, lo)
+	b.Max = b.Max.SetAxis(axis, hi)
+	return b, !(hi < lo)
 }
 
 // partitionItems splits items across the two child boxes of the plane
@@ -122,39 +130,15 @@ func (c *buildCtx) partitionItems(a *arena, items []item, axis vecmath.Axis, pos
 		lo := it.bounds.Min.Axis(axis)
 		hi := it.bounds.Max.Axis(axis)
 		if lo < pos || (lo == hi && lo == pos) {
-			if b, ok := c.childBounds(it, lb); ok {
+			if b, ok := c.childBounds(it, lb, axis); ok {
 				left = append(left, item{it.tri, b})
 			}
 		}
 		if hi > pos {
-			if b, ok := c.childBounds(it, rb); ok {
+			if b, ok := c.childBounds(it, rb, axis); ok {
 				right = append(right, item{it.tri, b})
 			}
 		}
 	}
 	return left, right
-}
-
-// decideSplitSweep runs the event sweep and applies the SAH termination rule
-// (equation 2). A false result means "make a leaf". The bounds column is
-// staged through a's scratch (dead once the search returns).
-func (c *buildCtx) decideSplitSweep(a *arena, items []item, bounds vecmath.AABB, depth int) (sah.Split, bool) {
-	if len(items) <= 1 || depth >= c.cfg.MaxDepth {
-		return sah.Split{}, false
-	}
-	// The event sort dominates the sweep; give the full worker budget to
-	// the topmost (huge) nodes where few subtree tasks exist yet.
-	workers := 1
-	if len(items) >= 32768 {
-		workers = c.cfg.Workers
-	}
-	a.boxes = a.boxes[:0]
-	for i := range items {
-		a.boxes = append(a.boxes, items[i].bounds)
-	}
-	split, ok := sah.FindBestSplitSweep(c.canceler(), c.params, bounds, a.boxes, workers)
-	if !ok || c.params.ShouldTerminate(len(items), split) {
-		return sah.Split{}, false
-	}
-	return split, true
 }

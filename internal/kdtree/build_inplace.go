@@ -212,25 +212,33 @@ func (c *buildCtx) shouldDefer(lazy bool, n, depth int) bool {
 // decideSplitLevel picks the SAH split for one node of the breadth-first
 // builders or reports that it should terminate (leaf). Node size selects the
 // search — the binned histogram above nestedSequentialCutoff, where its O(n)
-// pass beats the sweep's sort, and the exact sweep below it, where the
+// pass beats the sweep's sort, and the exact event sweep below it, where the
 // binned search's fixed per-node cost (bins·axes candidate evaluations plus
-// histogram allocation) would dominate the tiny workload. The cutoff depends
-// only on the node size and workers only bounds the intra-node parallelism,
-// so the returned split is identical for every worker count — a property
-// both phases of the breadth-first builders rely on.
+// histogram allocation) would dominate the tiny workload. A frontier node
+// under the cutoff sorts its own events for its one sweep; the subtree
+// phase instead hands such a node to the sweep engine (finishSubtree),
+// which splices its sorted events into every node below. The cutoff
+// depends only on the node size and workers only bounds the intra-node
+// parallelism, so the returned split is identical for every worker count —
+// a property both phases of the breadth-first builders rely on.
 func (c *buildCtx) decideSplitLevel(a *arena, sub []item, bounds vecmath.AABB, depth, workers int) (sah.Split, bool) {
-	if len(sub) < nestedSequentialCutoff {
-		return c.decideSplitSweep(a, sub, bounds, depth)
-	}
-	if depth >= c.cfg.MaxDepth {
+	if len(sub) <= 1 || depth >= c.cfg.MaxDepth {
 		return sah.Split{}, false
 	}
-	split, ok := sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(sub), c.cfg.Bins, workers, c.cfg.BinGrain,
-		func(bs *sah.BinSet, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				bs.Add(sub[i].bounds)
-			}
-		})
+	var split sah.Split
+	var ok bool
+	if len(sub) < nestedSequentialCutoff {
+		mark := a.markEvents()
+		split, ok = c.sweepEvents(sub, c.sortedEvents(a, sub, 1), bounds)
+		a.releaseEvents(mark)
+	} else {
+		split, ok = sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(sub), c.cfg.Bins, workers, c.cfg.BinGrain,
+			func(bs *sah.BinSet, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					bs.Add(sub[i].bounds)
+				}
+			})
+	}
 	if !ok || c.params.ShouldTerminate(len(sub), split) {
 		return sah.Split{}, false
 	}
@@ -241,8 +249,13 @@ func (c *buildCtx) decideSplitLevel(a *arena, sub []item, bounds vecmath.AABB, d
 // arena. It must reproduce exactly the decisions processLevel would have
 // made for the same node — same suspension rule, same size-hybrid split
 // search, same degenerate-split bailout — because the worker count decides
-// which of the two phases a node lands in.
+// which of the two phases a node lands in. A node under
+// nestedSequentialCutoff becomes a sweep-engine subtree.
 func (c *buildCtx) finishSubtree(a *arena, items []item, bounds vecmath.AABB, depth int, lazy bool) {
+	if len(items) < nestedSequentialCutoff {
+		c.recurseSweep(a, items, evLists{}, bounds, depth, lazy)
+		return
+	}
 	if c.checkAbort(depth) {
 		return
 	}
@@ -431,12 +444,12 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 					it := sub[i]
 					gl, gr := c.classify(it, split, lb, rb)
 					if gl {
-						b, _ := c.childBounds(it, lb)
+						b, _ := c.childBounds(it, lb, split.Axis)
 						nextItems[l] = item{it.tri, b}
 						l++
 					}
 					if gr {
-						b, _ := c.childBounds(it, rb)
+						b, _ := c.childBounds(it, rb, split.Axis)
 						nextItems[r] = item{it.tri, b}
 						r++
 					}
@@ -485,19 +498,20 @@ func (c *buildCtx) processLevel(frontier, dst []levelNode, cur int, lazy bool) [
 
 // classify reports whether an item lands in the left and/or right child,
 // mirroring the sequential partition rules (planar primitives go left).
-// The childBounds check is included so clipped-away straddler halves do not
-// get phantom slots.
+// Without clipping the side tests decide alone: an item lies inside its
+// node, so a side it passes always overlaps its box. Under clipping the
+// re-clipped half can vanish, and such a half gets no slot.
 func (c *buildCtx) classify(it item, split sah.Split, lb, rb vecmath.AABB) (goesLeft, goesRight bool) {
 	lo := it.bounds.Min.Axis(split.Axis)
 	hi := it.bounds.Max.Axis(split.Axis)
-	if lo < split.Pos || (lo == hi && lo == split.Pos) {
-		if _, ok := c.childBounds(it, lb); ok {
-			goesLeft = true
+	goesLeft = lo < split.Pos || (lo == hi && lo == split.Pos)
+	goesRight = hi > split.Pos
+	if c.cfg.UseClipping {
+		if goesLeft {
+			_, goesLeft = c.childBounds(it, lb, split.Axis)
 		}
-	}
-	if hi > split.Pos {
-		if _, ok := c.childBounds(it, rb); ok {
-			goesRight = true
+		if goesRight {
+			_, goesRight = c.childBounds(it, rb, split.Axis)
 		}
 	}
 	return goesLeft, goesRight

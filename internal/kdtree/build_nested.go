@@ -9,11 +9,11 @@ import (
 )
 
 // nestedSequentialCutoff is the node size below which the nested builder
-// stops parallelising within nodes and falls back to the plain node-level
-// recursion: for small primitive lists the fork-join and scan overhead
-// exceeds the work (Choi et al. make the same transition from their
-// "nested" to per-subtree processing once enough parallelism exists across
-// subtrees).
+// stops parallelising within nodes and falls back to the node-level sweep
+// recursion, a sweep-engine subtree that sorts its events once at that
+// node: for small primitive lists the fork-join and scan overhead exceeds
+// the work (Choi et al. make the same transition from their "nested" to
+// per-subtree processing once enough parallelism exists across subtrees).
 const nestedSequentialCutoff = 2048
 
 // buildNested implements the nested parallel algorithm of §IV-B: subtree
@@ -38,7 +38,7 @@ func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, de
 		return
 	}
 	if len(items) < nestedSequentialCutoff {
-		c.recurseNodeLevel(a, items, bounds, depth)
+		c.recurseSweep(a, items, evLists{}, bounds, depth, false)
 		return
 	}
 	if depth >= c.cfg.MaxDepth {
@@ -109,56 +109,34 @@ func (c *buildCtx) parallelBestSplit(items []item, bounds vecmath.AABB) (sah.Spl
 		})
 }
 
-// sideFlag classifies one item against a split plane.
-type sideFlag uint8
-
-const (
-	sideLeft sideFlag = 1 << iota
-	sideRight
-)
-
 // parallelPartition distributes items into the two children using the
 // classic three-phase structure: a parallel classification pass computing
 // per-item output counts, exclusive prefix scans turning the counts into
-// write offsets, and a parallel scatter pass. All scratch comes from the
-// arena (it dies before the recursion descends); the child lists are carved
-// off the item stack at the exact sizes the scans report.
+// write offsets, and a parallel scatter pass that computes each child box
+// once. An item goes to a side exactly when its offset there is below the
+// next item's (or the side's total), so the scanned counts also record the
+// classification. All scratch comes from the arena (it dies before the
+// recursion descends); the child lists are carved off the item stack at
+// the exact sizes the scans report.
 func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, parent vecmath.AABB) (left, right []item, lb, rb vecmath.AABB) {
 	lb, rb = parent.Split(split.Axis, split.Pos)
 	n := len(items)
 	workers := c.cfg.Workers
 
-	a.flags = ensureLen(a.flags, n)
 	a.cntL = ensureLen(a.cntL, n)
 	a.cntR = ensureLen(a.cntR, n)
-	// narrowed caches the child bounds computed during classification so the
-	// scatter pass does not redo the (potentially expensive) clipping.
-	a.narrowed = ensureLen(a.narrowed, n)
-	flags, cntL, cntR, boxes := a.flags, a.cntL, a.cntR, a.narrowed
+	cntL, cntR := a.cntL, a.cntR
 
 	cc := c.canceler()
 	parallel.For(cc, n, workers, func(loIdx, hiIdx int) {
 		for i := loIdx; i < hiIdx; i++ {
-			it := items[i]
-			lo := it.bounds.Min.Axis(split.Axis)
-			hi := it.bounds.Max.Axis(split.Axis)
-			goesLeft := lo < split.Pos || (lo == hi && lo == split.Pos)
-			goesRight := hi > split.Pos
-			flags[i] = 0
+			goesLeft, goesRight := c.classify(items[i], split, lb, rb)
 			cntL[i], cntR[i] = 0, 0
 			if goesLeft {
-				if b, ok := c.childBounds(it, lb); ok {
-					flags[i] |= sideLeft
-					cntL[i] = 1
-					boxes[i].l = b
-				}
+				cntL[i] = 1
 			}
 			if goesRight {
-				if b, ok := c.childBounds(it, rb); ok {
-					flags[i] |= sideRight
-					cntR[i] = 1
-					boxes[i].r = b
-				}
+				cntR[i] = 1
 			}
 		}
 	})
@@ -179,13 +157,21 @@ func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, pa
 	left = a.allocItems(nl)
 	right = a.allocItems(nr)
 
+	axis := split.Axis
 	parallel.For(cc, n, workers, func(loIdx, hiIdx int) {
 		for i := loIdx; i < hiIdx; i++ {
-			if flags[i]&sideLeft != 0 {
-				left[cntL[i]] = item{items[i].tri, boxes[i].l}
+			nextL, nextR := nl, nr
+			if i+1 < n {
+				nextL, nextR = cntL[i+1], cntR[i+1]
 			}
-			if flags[i]&sideRight != 0 {
-				right[cntR[i]] = item{items[i].tri, boxes[i].r}
+			it := items[i]
+			if cntL[i] < nextL {
+				b, _ := c.childBounds(it, lb, axis)
+				left[cntL[i]] = item{it.tri, b}
+			}
+			if cntR[i] < nextR {
+				b, _ := c.childBounds(it, rb, axis)
+				right[cntR[i]] = item{it.tri, b}
 			}
 		}
 	})

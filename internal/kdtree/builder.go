@@ -153,10 +153,11 @@ func (b *Builder) putArena(a *arena) {
 	b.arenaMu.Unlock()
 }
 
-// buildDeferred expands the suspended lazy node d with the sequential
-// node-level recursion; it is the body build runs for a lazy expansion, so
-// the expansion gets the same guard, panic containment and abort drain as
-// any build. It returns the subtree bounds and its primitive count.
+// buildDeferred expands the suspended lazy node d as one sweep-engine
+// subtree (the deferred node sorts its events once); it is the body build
+// runs for a lazy expansion, so the expansion gets the same guard, panic
+// containment and abort drain as any build. It returns the subtree bounds
+// and its primitive count.
 func (c *buildCtx) buildDeferred(d *deferredNode) (vecmath.AABB, int) {
 	a := &c.b.main
 	items := a.allocItems(len(d.tris))[:0]
@@ -169,6 +170,6 @@ func (c *buildCtx) buildDeferred(d *deferredNode) (vecmath.AABB, int) {
 		}
 		items = append(items, item{ti, bb})
 	}
-	c.recurseNodeLevel(a, items, d.bounds, 0)
+	c.recurseSweep(a, items, evLists{}, d.bounds, 0, false)
 	return d.bounds, len(items)
 }

@@ -36,8 +36,6 @@ func (a Algorithm) String() string {
 		return "lazy"
 	case AlgoMedian:
 		return "median"
-	case AlgoSortOnce:
-		return "sort-once"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }

@@ -256,8 +256,6 @@ func (b *Builder) build(tris []vecmath.Triangle, cfg Config, g Guard, d *deferre
 			bounds = c.buildBreadthFirst(true)
 		case AlgoMedian:
 			bounds = c.buildMedian()
-		case AlgoSortOnce:
-			bounds = c.buildSortOnce()
 		default: // AlgoNodeLevel and unknown values
 			bounds = c.buildNodeLevel()
 		}

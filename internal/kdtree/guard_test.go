@@ -14,7 +14,7 @@ import (
 // allAlgorithms is every builder BuildGuarded dispatches, paper variants and
 // extensions alike.
 var allAlgorithms = []Algorithm{
-	AlgoNodeLevel, AlgoNested, AlgoInPlace, AlgoLazy, AlgoMedian, AlgoSortOnce,
+	AlgoNodeLevel, AlgoNested, AlgoInPlace, AlgoLazy, AlgoMedian,
 }
 
 // abortCause builds with the guard and requires a *BuildAborted with the

@@ -192,7 +192,7 @@ func TestPacketZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless under -race")
 	}
-	tree, _ := allocTestTree(t, AlgoSortOnce, 3000)
+	tree, _ := allocTestTree(t, AlgoNodeLevel, 3000)
 	r := rand.New(rand.NewSource(77))
 	rays := make([]vecmath.Ray, 64)
 	for i := range rays {

@@ -287,9 +287,10 @@ func (t *Tree) occludedFrom(r vecmath.Ray, inv vecmath.Vec3, start int32, curMin
 // it on a fresh Builder.
 func (t *Tree) expandDeferred(d *deferredNode) *Tree {
 	d.once.Do(func() {
-		// Expand with the sequential sweep recursion; the node holds fewer
-		// than R primitives by construction, so per-node parallelism is not
-		// worth spawning (and rays are already parallel across pixels). The
+		// Expand as one sweep-engine subtree on one worker; the node holds
+		// fewer than R primitives by construction, so per-node parallelism
+		// is not worth spawning (and rays are already parallel across
+		// pixels). The
 		// dedicated Builder is the expansion's per-tree scratch: the subtree
 		// Tree borrows (and keeps alive) its storage.
 		cfg := t.cfg

@@ -32,19 +32,6 @@ import (
 	"kdtune/internal/lint/tunable"
 )
 
-// defaultHot are the packages whose allocations the cost model treats as
-// per-ray or per-node costs; the escape gate holds their heap behavior to
-// the committed baseline. internal/serve joined the list when the serving
-// layer's logring, metrics, and admission fast paths became part of the
-// steady-state request loop.
-var defaultHot = []string{
-	"kdtune/internal/kdtree",
-	"kdtune/internal/sah",
-	"kdtune/internal/render",
-	"kdtune/internal/vecmath",
-	"kdtune/internal/serve",
-}
-
 // Rules returns every rule in the order the driver runs them.
 func Rules() []lint.Rule {
 	return []lint.Rule{
@@ -73,7 +60,7 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	escapesMode := fs.Bool("escapes", false, "run the escape-analysis gate instead of the AST rules")
 	baseline := fs.String("baseline", "lint/escapes.baseline", "escape baseline file (with -escapes)")
 	update := fs.Bool("update", false, "rewrite the baseline from the current escape set (with -escapes)")
-	hot := fs.String("hot", strings.Join(defaultHot, ","), "comma-separated hot packages to gate (with -escapes)")
+	hot := fs.String("hot", strings.Join(escapes.HotPackages, ","), "comma-separated hot packages to gate (with -escapes)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}

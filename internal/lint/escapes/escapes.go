@@ -28,6 +28,19 @@ import (
 	"strings"
 )
 
+// HotPackages are the packages whose allocations the cost model treats as
+// per-ray or per-node costs; the gate holds their heap behavior to the
+// committed baseline by default, and its own test gates the same list.
+// internal/serve joined the list when the serving layer's logring, metrics,
+// and admission fast paths became part of the steady-state request loop.
+var HotPackages = []string{
+	"kdtune/internal/kdtree",
+	"kdtune/internal/sah",
+	"kdtune/internal/render",
+	"kdtune/internal/vecmath",
+	"kdtune/internal/serve",
+}
+
 // Options configures one gate run.
 type Options struct {
 	// Dir is the working directory for the go tool ("" for the process's).

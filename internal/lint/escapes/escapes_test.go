@@ -7,14 +7,6 @@ import (
 	"testing"
 )
 
-// hotPackages mirrors cmd/kdlint's default gate scope.
-var hotPackages = []string{
-	"kdtune/internal/kdtree",
-	"kdtune/internal/sah",
-	"kdtune/internal/render",
-	"kdtune/internal/vecmath",
-}
-
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
@@ -28,7 +20,7 @@ func moduleRoot(t *testing.T) string {
 // must pass its own escape gate, exactly as the CI lint job runs it.
 func TestGateCleanOnTree(t *testing.T) {
 	root := moduleRoot(t)
-	esc, err := Collect(Options{Dir: root, Packages: hotPackages})
+	esc, err := Collect(Options{Dir: root, Packages: HotPackages})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestTransformInvariance(t *testing.T) {
 func TestWorkerInvarianceDirect(t *testing.T) {
 	tris := scene.WoodDoll().Triangles(0)
 	algos := append([]kdtree.Algorithm{}, kdtree.Algorithms...)
-	algos = append(algos, kdtree.AlgoMedian, kdtree.AlgoSortOnce)
+	algos = append(algos, kdtree.AlgoMedian)
 	for _, algo := range algos {
 		cfg := kdtree.BaseConfig(algo)
 		if err := CheckWorkerInvariance(tris, cfg, []int{1, 3, 7}); err != nil {

@@ -24,8 +24,8 @@ type SceneOptions struct {
 	// bitwise identical across the counts.
 	WorkerCounts []int
 
-	// Extras additionally checks the median and sort-once builders (at the
-	// highest worker count) and includes them in the pairwise cross-check.
+	// Extras additionally checks the median builder (at the highest worker
+	// count) and includes it in the pairwise cross-check.
 	Extras bool
 
 	// QueryBoxes/QueryPoints are the range/nearest-neighbor query budgets
@@ -136,16 +136,14 @@ func CheckScene(sc *scene.Scene, so SceneOptions) (SceneReport, error) {
 	}
 
 	if so.Extras {
-		for _, algo := range []kdtree.Algorithm{kdtree.AlgoMedian, kdtree.AlgoSortOnce} {
-			cfg := kdtree.BaseConfig(algo)
-			cfg.Workers = maxW
-			label := fmt.Sprintf("%v/workers=%d", algo, maxW)
-			tree, _, err := check(cfg, label)
-			if err != nil {
-				return rep, err
-			}
-			atMax = append(atMax, built{algo.String(), tree})
+		cfg := kdtree.BaseConfig(kdtree.AlgoMedian)
+		cfg.Workers = maxW
+		label := fmt.Sprintf("%v/workers=%d", kdtree.AlgoMedian, maxW)
+		tree, _, err := check(cfg, label)
+		if err != nil {
+			return rep, err
 		}
+		atMax = append(atMax, built{kdtree.AlgoMedian.String(), tree})
 	}
 
 	for i := 0; i < len(atMax); i++ {

@@ -1,10 +1,12 @@
 // Package sah implements the Surface Area Heuristic cost model of the paper
 // (§III-B) and the two split-search strategies the four builders rely on:
 //
-//   - an event-sweep search in the style of Wald & Havran ("On building fast
+//   - an event sweep in the style of Wald & Havran ("On building fast
 //     kd-trees for ray tracing"), which enumerates every candidate plane
 //     defined by (clipped) primitive bounds and is exact up to the cost
-//     model, and
+//     model. The builders' sweep engine (internal/kdtree) costs each plane
+//     with SweepPlane; FindBestSplitSweep is the per-node form it is
+//     tested against, and
 //   - a binned search in the style of the parallel builders (Choi et al.,
 //     Danilewski et al.), which histograms primitive extents into a fixed
 //     number of bins per axis and evaluates the SAH only at bin boundaries —
@@ -26,7 +28,6 @@ package sah
 
 import (
 	"math"
-	"sync"
 
 	"kdtune/internal/parallel"
 	"kdtune/internal/vecmath"
@@ -83,6 +84,42 @@ func splitCandidateValid(node vecmath.AABB, axis vecmath.Axis, pos float64) bool
 	return pos > node.Min.Axis(axis) && pos < node.Max.Axis(axis)
 }
 
+// SweepPlane evaluates the candidate plane {axis = pos} of an event sweep
+// over a node of n primitives with surface area areaNode: nl primitives
+// start before pos, nr end after it, and nPlanar lie in the plane, which the
+// split may send to either side (Wald–Havran: both placements are costed
+// and the cheaper kept). Planes on the node's boundary are rejected. best is
+// replaced only when the plane is strictly cheaper, so on a tie the earlier
+// candidate wins; SweepPlane reports whether it replaced best.
+//
+// The builders' sweep engine and FindBestSplitSweep both cost every plane
+// here, so the two searches pick bit-identical splits whenever they visit
+// the same planes in the same order.
+func (p Params) SweepPlane(best *Split, node vecmath.AABB, areaNode float64, axis vecmath.Axis, pos float64, nl, nr, nPlanar, n int) bool {
+	if !splitCandidateValid(node, axis, pos) {
+		return false
+	}
+	// The halves' surface areas, exactly as node.Split(axis, pos) and
+	// SurfaceArea compute them: pos lies strictly inside the node, so only
+	// the extent along axis changes.
+	el := node.Diagonal()
+	er := el.SetAxis(axis, node.Max.Axis(axis)-pos)
+	el = el.SetAxis(axis, pos-node.Min.Axis(axis))
+	al := 2 * (el.X*el.Y + el.Y*el.Z + el.Z*el.X)
+	ar := 2 * (er.X*er.Y + er.Y*er.Z + er.Z*er.X)
+	cL := p.SplitCost(areaNode, al, ar, nl+nPlanar, nr, n)
+	cR := p.SplitCost(areaNode, al, ar, nl, nr+nPlanar, n)
+	cost, dl, dr := cL, nPlanar, 0
+	if cR < cL {
+		cost, dl, dr = cR, 0, nPlanar
+	}
+	if !(cost < best.Cost) {
+		return false
+	}
+	*best = Split{Axis: axis, Pos: pos, Cost: cost, NL: nl + dl, NR: nr + dr}
+	return true
+}
+
 // eventKind orders coincident events so that the sweep sees ends before
 // planars before starts at the same plane position.
 type eventKind uint8
@@ -99,18 +136,21 @@ type event struct {
 	kind eventKind
 }
 
-// FindBestSplitSweep runs the event-sweep split search over all three axes.
-// prims holds each primitive's bounds clipped to the node (empty boxes are
-// ignored). It returns the minimum-cost split and false if no valid
-// candidate plane exists. workers is the parallelism budget of the event
-// sort — sorting dominates the sweep's cost, and the builders hand the
-// budget down for the topmost (largest) nodes.
+// FindBestSplitSweep is the per-node event-sweep split search over all
+// three axes: it generates the node's events, sorts them, and sweeps them
+// from scratch on every call. prims holds each primitive's bounds clipped to
+// the node (empty boxes are ignored). It returns the minimum-cost split and
+// false if no valid candidate plane exists. workers is the parallelism
+// budget of the event sort.
 //
-// cc is threaded into the parallel event sort: the sort is the single
-// longest uninterruptible stretch of a top-level node's split search, and
-// without a cancellation point a guarded build's deadline could not fire
-// until it finished. A canceled search returns (Split{}, false); callers
-// must check cc before trusting even that. A nil cc is never canceled.
+// The builders do not call it: their sweep engine (internal/kdtree) sorts a
+// subtree's events once and splices them into the children. This search is
+// the reference that engine is tested against, as FindBestSplitBinned is
+// for the binned search.
+//
+// cc is threaded into the parallel event sort. A canceled search returns
+// (Split{}, false); callers must check cc before trusting even that. A nil
+// cc is never canceled.
 func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prims []vecmath.AABB, workers int) (Split, bool) {
 	best := Split{Cost: math.Inf(1)}
 	found := false
@@ -119,12 +159,7 @@ func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prim
 		return best, false
 	}
 
-	bufPtr := getEventBuf(2 * len(prims))
-	events := *bufPtr
-	defer func() {
-		*bufPtr = events // retain grown capacity for reuse
-		putEventBuf(bufPtr)
-	}()
+	events := make([]event, 0, 2*len(prims))
 	for axis := vecmath.AxisX; axis <= vecmath.AxisZ; axis++ {
 		events = events[:0]
 		n := 0
@@ -168,24 +203,9 @@ func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prim
 			// Primitives ending or lying exactly at pos leave the right set
 			// before the plane at pos is evaluated.
 			nr -= pEnd + pPlanar
-
-			if splitCandidateValid(node, axis, pos) {
-				l, r := node.Split(axis, pos)
-				al, ar := l.SurfaceArea(), r.SurfaceArea()
-				// Planar primitives can go to either side; evaluate both
-				// placements and keep the cheaper one (Wald–Havran).
-				cL := p.SplitCost(areaNode, al, ar, nl+pPlanar, nr, n)
-				cR := p.SplitCost(areaNode, al, ar, nl, nr+pPlanar, n)
-				cost, dl, dr := cL, pPlanar, 0
-				if cR < cL {
-					cost, dl, dr = cR, 0, pPlanar
-				}
-				if cost < best.Cost {
-					best = Split{Axis: axis, Pos: pos, Cost: cost, NL: nl + dl, NR: nr + dr}
-					found = true
-				}
+			if p.SweepPlane(&best, node, areaNode, axis, pos, nl, nr, pPlanar, n) {
+				found = true
 			}
-
 			// Primitives starting or lying at pos belong to the left set for
 			// all later planes.
 			nl += pStart + pPlanar
@@ -207,20 +227,3 @@ func sortEvents(cc *parallel.Canceler, ev []event, workers int) {
 		return int(a.kind) - int(b.kind)
 	})
 }
-
-// eventBufPool recycles per-node event buffers: the recursive builders call
-// the sweep once per node, and the allocation otherwise dominates the
-// garbage produced during construction.
-var eventBufPool = sync.Pool{New: func() any { return &[]event{} }}
-
-// getEventBuf returns an empty event slice with at least the given capacity.
-func getEventBuf(capacity int) *[]event {
-	buf := eventBufPool.Get().(*[]event)
-	if cap(*buf) < capacity {
-		*buf = make([]event, 0, capacity)
-	}
-	*buf = (*buf)[:0]
-	return buf
-}
-
-func putEventBuf(buf *[]event) { eventBufPool.Put(buf) }

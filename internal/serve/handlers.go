@@ -22,7 +22,7 @@ import (
 // algorithmByName maps the names Algorithm.String produces back to values;
 // the serving surface accepts the same spelling the figures use.
 func algorithmByName(name string) (kdtree.Algorithm, error) {
-	all := append(append([]kdtree.Algorithm{}, kdtree.Algorithms...), kdtree.AlgoMedian, kdtree.AlgoSortOnce)
+	all := append(append([]kdtree.Algorithm{}, kdtree.Algorithms...), kdtree.AlgoMedian)
 	for _, a := range all {
 		if a.String() == name {
 			return a, nil

@@ -387,6 +387,27 @@ func TestClientErrorsDoNotTripBreaker(t *testing.T) {
 	}
 }
 
+// TestAlgorithmNames: every builder name the figures use is served, and any
+// other name, "sort-once" included (a sweep engine, not a builder), is a
+// typed 400.
+func TestAlgorithmNames(t *testing.T) {
+	sc := testScene("algo-test", 600)
+	_, ts := testServer(t, sc, nil)
+	for _, a := range append(append([]kdtree.Algorithm{}, kdtree.Algorithms...), kdtree.AlgoMedian) {
+		if code := get(t, ts.URL+"/build?scene=algo-test&algo="+a.String(), "a", 0, nil); code != 200 {
+			t.Fatalf("algo=%v: status %d, want 200", a, code)
+		}
+	}
+	for _, name := range []string{"sort-once", "bogus"} {
+		var body struct {
+			Code string `json:"code"`
+		}
+		if code := get(t, ts.URL+"/build?scene=algo-test&algo="+name, "a", 0, &body); code != 400 || body.Code != "bad-algo" {
+			t.Fatalf("algo=%s: status %d code %q, want 400 bad-algo", name, code, body.Code)
+		}
+	}
+}
+
 // TestQueryEndpoints smoke-tests /range and /nn through the cache, plus the
 // /metrics and /log observability surfaces.
 func TestQueryEndpoints(t *testing.T) {

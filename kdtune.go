@@ -82,15 +82,16 @@ type (
 	BuildStats = kdtree.BuildStats
 )
 
-// The four construction algorithms of the paper's §IV, plus two extensions:
-// AlgoSortOnce (the full Wald–Havran O(N log N) event-splicing build) and
-// AlgoMedian (the non-SAH spatial-median baseline).
+// The four construction algorithms of the paper's §IV, plus the non-SAH
+// spatial-median baseline AlgoMedian. All four SAH builders find their
+// small-node splits with one sweep engine, Wald–Havran's O(N log N)
+// event-splicing search: a subtree sorts its events once and splices them
+// into its children.
 const (
 	AlgoNodeLevel = kdtree.AlgoNodeLevel
 	AlgoNested    = kdtree.AlgoNested
 	AlgoInPlace   = kdtree.AlgoInPlace
 	AlgoLazy      = kdtree.AlgoLazy
-	AlgoSortOnce  = kdtree.AlgoSortOnce
 	AlgoMedian    = kdtree.AlgoMedian
 )
 

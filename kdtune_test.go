@@ -92,7 +92,7 @@ func TestFacadeSerializeRoundTrip(t *testing.T) {
 		Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)),
 		Tri(V(2, 0, 0), V(3, 0, 0), V(2, 1, 0)),
 	}
-	tree := Build(tris, BaseConfig(AlgoSortOnce))
+	tree := Build(tris, BaseConfig(AlgoNodeLevel))
 	var buf bytes.Buffer
 	if err := tree.Serialize(&buf); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDifferentialKDTreeVsBVH(t *testing.T) {
 	}
 	tris := sc.Triangles(0)
 	bv := bvh.Build(tris, bvh.Config{Workers: 2})
-	for _, algo := range []Algorithm{AlgoNodeLevel, AlgoNested, AlgoInPlace, AlgoLazy, AlgoSortOnce, AlgoMedian} {
+	for _, algo := range []Algorithm{AlgoNodeLevel, AlgoNested, AlgoInPlace, AlgoLazy, AlgoMedian} {
 		cfg := BaseConfig(algo)
 		cfg.Workers = 2
 		cfg.R = 128
