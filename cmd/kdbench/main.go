@@ -6,19 +6,14 @@
 //	kdbench -experiment fig5 -iters 150       # paper-scale budgets
 //	kdbench -experiment all -repeats 5        # everything, reduced repeats
 //
-// Experiments: tableI, tableII, fig5, fig6, fig7, fig7c, fig8, fig9, all.
-// The defaults are scaled down from the paper's protocol so a full run
-// completes in minutes; raise -repeats/-iters/-width for paper fidelity
-// (see EXPERIMENTS.md for the settings used there).
+// Experiments: tableI, tableII, fig5, fig6, fig7, fig7c, fig8, fig9, all,
+// plus measure (re-measure the configurations listed in -measure-file) and
+// select (tune every builder and pick the fastest). The defaults are scaled
+// down from the paper's protocol so a full run completes in minutes; raise
+// -repeats/-iters/-width for paper fidelity (see EXPERIMENTS.md for the
+// settings used there).
 //
-// Benchmark records (DESIGN.md §8):
-//
-//	kdbench -bench-json BENCH_x.json -bench-tag x   # machine-readable report
-//	kdbench -compare old.json new.json              # regression gate
-//
-// -compare exits non-zero when any scene x algorithm cell's tuned frame
-// time regressed by more than -threshold percent, or when a cell present in
-// the old report is missing from the new one.
+// The repository's benchmark is perfbench/ (DESIGN.md §8), not this command.
 package main
 
 import (
@@ -37,7 +32,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "tableI|tableII|fig5|fig6|fig7|fig7c|fig8|fig9|all")
+		experiment = flag.String("experiment", "all", "tableI|tableII|fig5|fig6|fig7|fig7c|fig8|fig9|all|measure|select")
 		repeats    = flag.Int("repeats", 5, "tuning repetitions per configuration (paper: 15)")
 		iters      = flag.Int("iters", 80, "max tuning iterations per run (paper: until convergence, ~150)")
 		width      = flag.Int("width", 160, "render width in pixels (height = 3/4 width)")
@@ -46,14 +41,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		measure    = flag.String("measure-file", "", "CSV of scene,algo,ci,cb,s,r rows for -experiment measure")
 		csvDir     = flag.String("csv", "", "also write results as CSV files into this directory")
-
-		benchJSON   = flag.String("bench-json", "", "write a machine-readable benchmark report to this path and exit")
-		benchTag    = flag.String("bench-tag", "", "free-form label stored in the -bench-json report")
-		benchScenes = flag.String("bench-scenes", "", "comma-separated scene names for -bench-json (default: all)")
-		benchFrames = flag.Int("bench-frames", 9, "measured frames per cell for -bench-json (after warmup)")
-		benchDF     = flag.Int("deadline-factor", 0, "build watchdog multiple for -bench-json: abort builds slower than this many times the incumbent frame (0 = default 10)")
-		compare     = flag.Bool("compare", false, "compare two bench reports: kdbench -compare old.json new.json")
-		threshold   = flag.Float64("threshold", 10, "regression threshold in percent for -compare")
 	)
 	flag.Parse()
 
@@ -62,31 +49,6 @@ func main() {
 		progress = nil
 	}
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "kdbench: -compare needs exactly two arguments: old.json new.json")
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), *threshold); err != nil {
-			fmt.Fprintf(os.Stderr, "kdbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		err := runBenchJSON(benchConfig{
-			path: *benchJSON, tag: *benchTag, sceneList: *benchScenes,
-			frames: *benchFrames, iters: *iters, width: *width,
-			workers: *workers, seed: *seed, deadlineFactor: *benchDF,
-			progress: progress,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kdbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	opts := harness.Opts{
 		Workers: *workers, Width: *width,
 		Repeats: *repeats, MaxIterations: *iters,
@@ -219,66 +181,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// benchConfig carries the -bench-json settings into runBenchJSON.
-type benchConfig struct {
-	path, tag, sceneList string
-	frames, iters, width int
-	workers              int
-	deadlineFactor       int
-	seed                 int64
-	progress             io.Writer
-}
-
-// runBenchJSON produces a machine-readable benchmark report (DESIGN.md §8).
-func runBenchJSON(bc benchConfig) error {
-	var scenes []*scene.Scene
-	if bc.sceneList != "" {
-		for _, name := range strings.Split(bc.sceneList, ",") {
-			sc, err := scene.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			scenes = append(scenes, sc)
-		}
-	}
-	rep := harness.RunBench(harness.BenchOptions{
-		Scenes: scenes,
-		Tag:    bc.tag,
-		Settings: harness.BenchSettings{
-			Width: bc.width, Workers: bc.workers,
-			MaxIterations: bc.iters, MeasureFrames: bc.frames, Seed: bc.seed,
-			DeadlineFactor: bc.deadlineFactor,
-		},
-		Progress: bc.progress,
-	})
-	if err := harness.WriteBenchReportFile(bc.path, rep); err != nil {
-		return err
-	}
-	if bc.progress != nil {
-		fmt.Fprintf(bc.progress, "wrote %d results to %s\n", len(rep.Results), bc.path)
-	}
-	return nil
-}
-
-// runCompare diffs two bench reports and returns an error (non-zero exit)
-// on regressions or missing cells.
-func runCompare(oldPath, newPath string, thresholdPct float64) error {
-	oldRep, err := harness.ReadBenchReportFile(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := harness.ReadBenchReportFile(newPath)
-	if err != nil {
-		return err
-	}
-	res := harness.CompareBenchReports(oldRep, newRep, thresholdPct)
-	res.Format(os.Stdout)
-	if !res.OK() {
-		return fmt.Errorf("%d regressions, %d missing cells", len(res.Regressions), len(res.Missing))
-	}
-	return nil
 }
 
 // measureFile measures base vs explicit configurations listed in a CSV

@@ -24,16 +24,16 @@ type levelNode struct {
 // bfNode is one node of the breadth-first scaffold. The breadth-first
 // phases cannot emit arena nodes directly (pre-order adjacency is unknown
 // until the whole top of the tree exists), so they record the shape here —
-// leaf/deferred CONTENT goes straight into the main arena, with p0/p1
-// holding the final references — and assembleBF lays the scaffold out in
-// one pre-order pass at the end.
+// with leaf and deferred content held in bfScratch — and assembleBF lays
+// the scaffold and that content out in one pre-order pass at the end, the
+// order every depth-first builder emits in.
 type bfNode struct {
 	pos    float64
 	axis   vecmath.Axis
 	kind   uint8
 	left   int32 // bfInner: child scaffold indices
 	right  int32
-	p0, p1 int32 // bfLeaf: triStart/triCount; bfDeferred: defs slot; bfSubtree: subs index
+	p0, p1 int32 // bfLeaf: bfScratch.leafTris start/count; bfDeferred: bfScratch.defs slot; bfSubtree: subs index
 }
 
 const (
@@ -44,10 +44,14 @@ const (
 )
 
 // bfScratch is the Builder-owned reusable state of the breadth-first
-// builders: the scaffold, the ping-pong level item arrays, the double-
-// buffered frontier, and the per-level decision/plan/offset tables.
+// builders: the scaffold with the content of its leaves and suspended
+// nodes, the ping-pong level item arrays, the double-buffered frontier, and
+// the per-level decision/plan/offset tables.
 type bfScratch struct {
 	nodes    []bfNode
+	leafTris []int32
+	defTris  []int32
+	defs     []defRec // start indexes defTris
 	items    [2][]item
 	frontA   []levelNode
 	frontB   []levelNode
@@ -59,7 +63,7 @@ type bfScratch struct {
 
 // The minimum number of (triangle, node) pairs classified or scattered per
 // chunk during a breadth-first level step is cfg.ScatterGrain (tunable "G",
-// default kdtree.DefaultScatterGrain); both passes of scatterLevel read it
+// default kdtree.DefaultScatterGrain); both passes of processLevel read it
 // from the build config so the tuner can search it per build.
 
 // buildBreadthFirst implements the in-place parallel algorithm of §IV-C and
@@ -74,7 +78,8 @@ type bfScratch struct {
 //
 // Once the frontier is wide enough to keep every worker busy with S
 // subtrees each (the S parameter), the remaining nodes are finished as
-// independent subtree tasks — the paper's lazy variant describes exactly
+// independent subtree tasks, each the nested builder's depth-first
+// recursion on one worker — the paper's lazy variant describes exactly
 // this structure ("parallelized across the primitives in the top-level
 // nodes and across subtrees in the lower levels").
 //
@@ -82,9 +87,10 @@ type bfScratch struct {
 // instead of subdivided; they expand on first ray contact (§IV-D).
 //
 // The switch point between the two phases depends on the worker count, but
-// both phases apply identical split, leaf and suspension rules (see
-// shouldDefer and decideSplitLevel), so the resulting tree does not: the
-// output is worker-count-independent.
+// both phases apply identical split, leaf and suspension rules (shouldDefer,
+// and decideSplitLevel here against recurseNested there), and assembleBF
+// lays both phases out in one pre-order, so neither the tree nor its layout
+// does: the output is worker-count-independent.
 func (c *buildCtx) buildBreadthFirst(lazy bool) vecmath.AABB {
 	bf := &c.b.bf
 	items, bounds := c.rootItemsInto(bf.items[0][:0])
@@ -98,6 +104,7 @@ func (c *buildCtx) buildBreadthFirst(lazy bool) vecmath.AABB {
 	}
 
 	bf.nodes = append(bf.nodes[:0], bfNode{})
+	bf.leafTris, bf.defTris, bf.defs = bf.leafTris[:0], bf.defTris[:0], bf.defs[:0]
 	fa := append(bf.frontA[:0], levelNode{bf: 0, bounds: bounds, start: 0, end: len(items), depth: 0})
 	fb := bf.frontB[:0]
 	cur := 0
@@ -123,7 +130,7 @@ func (c *buildCtx) buildBreadthFirst(lazy bool) vecmath.AABB {
 				//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
 				c.pool.Spawn(func() {
 					defer wg.Done()
-					c.finishSubtree(sub, subItems, ln.bounds, ln.depth, lazy)
+					c.recurseNested(sub, subItems, ln.bounds, ln.depth, lazy, 1)
 				})
 			}
 			wg.Wait()
@@ -152,18 +159,24 @@ func (c *buildCtx) buildBreadthFirst(lazy bool) vecmath.AABB {
 
 // assembleBF lays the scaffold out into a in pre-order, establishing the
 // left-child adjacency, and grafts the subtree-task arenas where the
-// scaffold points at them. Leaf and deferred scaffold entries already put
-// their content in the main arena; only the 16-byte node records are
-// emitted here.
+// scaffold points at them. Leaf triangles and suspended nodes land in a in
+// the same pre-order, so the layout does not depend on where the worker
+// count ended the breadth-first phase.
 func (c *buildCtx) assembleBF(a *arena, bi int32) {
-	n := c.b.bf.nodes[bi]
+	bf := &c.b.bf
+	n := bf.nodes[bi]
 	switch n.kind {
 	case bfLeaf:
-		a.nodes = append(a.nodes, leafNode(n.p0, n.p1))
+		start := int32(len(a.leafTris))
+		a.leafTris = append(a.leafTris, bf.leafTris[n.p0:n.p0+n.p1]...)
+		a.nodes = append(a.nodes, leafNode(start, n.p1))
 	case bfDeferred:
-		a.nodes = append(a.nodes, deferredRef(n.p0))
+		d := bf.defs[n.p0]
+		a.defs = append(a.defs, defRec{bounds: d.bounds, start: int32(len(a.defTris)), count: d.count})
+		a.defTris = append(a.defTris, bf.defTris[d.start:d.start+d.count]...)
+		a.nodes = append(a.nodes, deferredRef(int32(len(a.defs)-1)))
 	case bfSubtree:
-		a.graft(c.b.bf.subs[n.p0])
+		a.graft(bf.subs[n.p0])
 	default: // bfInner
 		self := a.emitInner(n.axis, n.pos)
 		c.assembleBF(a, n.left)
@@ -172,32 +185,32 @@ func (c *buildCtx) assembleBF(a *arena, bi int32) {
 	}
 }
 
-// bfLeafNode emits leaf content into the main arena and returns the
-// scaffold record referencing it (phase 3 runs single-threaded).
+// bfLeafNode keeps a leaf's triangles in the scaffold's scratch and returns
+// the scaffold record referencing them (phase 3 runs single-threaded).
 func (c *buildCtx) bfLeafNode(sub []item, depth int) bfNode {
 	if faultinject.Active() {
 		faultinject.Check(faultinject.SiteBuildLeaf, int(c.b.guard.leafSeq.Add(1))-1)
 	}
-	main := &c.b.main
-	start := int32(len(main.leafTris))
+	bf := &c.b.bf
+	start := int32(len(bf.leafTris))
 	for _, it := range sub {
-		main.leafTris = append(main.leafTris, it.tri)
+		bf.leafTris = append(bf.leafTris, it.tri)
 	}
 	c.counters.noteLeaf(len(sub), depth)
 	return bfNode{kind: bfLeaf, p0: start, p1: int32(len(sub))}
 }
 
-// bfDeferredNode emits a suspended-subtree record into the main arena and
-// returns the scaffold record referencing it.
+// bfDeferredNode keeps a suspended node's record in the scaffold's scratch
+// and returns the scaffold record referencing it.
 func (c *buildCtx) bfDeferredNode(sub []item, bounds vecmath.AABB, depth int) bfNode {
-	main := &c.b.main
-	start := int32(len(main.defTris))
+	bf := &c.b.bf
+	start := int32(len(bf.defTris))
 	for _, it := range sub {
-		main.defTris = append(main.defTris, it.tri)
+		bf.defTris = append(bf.defTris, it.tri)
 	}
-	main.defs = append(main.defs, defRec{bounds: bounds, start: start, count: int32(len(sub))})
+	bf.defs = append(bf.defs, defRec{bounds: bounds, start: start, count: int32(len(sub))})
 	c.counters.noteDeferred(depth)
-	return bfNode{kind: bfDeferred, p0: int32(len(main.defs) - 1)}
+	return bfNode{kind: bfDeferred, p0: int32(len(bf.defs) - 1)}
 }
 
 // shouldDefer reports whether the lazy builder suspends a node of n
@@ -214,13 +227,15 @@ func (c *buildCtx) shouldDefer(lazy bool, n, depth int) bool {
 // search — the binned histogram above nestedSequentialCutoff, where its O(n)
 // pass beats the sweep's sort, and the exact event sweep below it, where the
 // binned search's fixed per-node cost (bins·axes candidate evaluations plus
-// histogram allocation) would dominate the tiny workload. A frontier node
-// under the cutoff sorts its own events for its one sweep; the subtree
-// phase instead hands such a node to the sweep engine (finishSubtree),
-// which splices its sorted events into every node below. The cutoff
-// depends only on the node size and workers only bounds the intra-node
-// parallelism, so the returned split is identical for every worker count —
-// a property both phases of the breadth-first builders rely on.
+// histogram allocation) would dominate the tiny workload. These are
+// recurseNested's rules too, and the binned search is its
+// parallelBestSplit. A frontier node under the cutoff sorts its own events
+// for its one sweep; the subtree phase instead hands such a node to the
+// sweep engine, which splices its sorted events into every node below. The
+// cutoff depends only on the node size and workers only bounds the
+// intra-node parallelism, so the returned split is identical for every
+// worker count — a property both phases of the breadth-first builders rely
+// on.
 func (c *buildCtx) decideSplitLevel(a *arena, sub []item, bounds vecmath.AABB, depth, workers int) (sah.Split, bool) {
 	if len(sub) <= 1 || depth >= c.cfg.MaxDepth {
 		return sah.Split{}, false
@@ -232,56 +247,12 @@ func (c *buildCtx) decideSplitLevel(a *arena, sub []item, bounds vecmath.AABB, d
 		split, ok = c.sweepEvents(sub, c.sortedEvents(a, sub, 1), bounds)
 		a.releaseEvents(mark)
 	} else {
-		split, ok = sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(sub), c.cfg.Bins, workers, c.cfg.BinGrain,
-			func(bs *sah.BinSet, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					bs.Add(sub[i].bounds)
-				}
-			})
+		split, ok = c.parallelBestSplit(sub, bounds, workers)
 	}
 	if !ok || c.params.ShouldTerminate(len(sub), split) {
 		return sah.Split{}, false
 	}
 	return split, true
-}
-
-// finishSubtree completes one frontier node depth-first into its private
-// arena. It must reproduce exactly the decisions processLevel would have
-// made for the same node — same suspension rule, same size-hybrid split
-// search, same degenerate-split bailout — because the worker count decides
-// which of the two phases a node lands in. A node under
-// nestedSequentialCutoff becomes a sweep-engine subtree.
-func (c *buildCtx) finishSubtree(a *arena, items []item, bounds vecmath.AABB, depth int, lazy bool) {
-	if len(items) < nestedSequentialCutoff {
-		c.recurseSweep(a, items, evLists{}, bounds, depth, lazy)
-		return
-	}
-	if c.checkAbort(depth) {
-		return
-	}
-	if c.shouldDefer(lazy, len(items), depth) {
-		c.makeDeferred(a, items, bounds, depth)
-		return
-	}
-	split, ok := c.decideSplitLevel(a, items, bounds, depth, 1)
-	if !ok {
-		c.makeLeaf(a, items, depth)
-		return
-	}
-	mark := a.markItems()
-	lb, rb := bounds.Split(split.Axis, split.Pos)
-	left, right := c.partitionItems(a, items, split.Axis, split.Pos, lb, rb)
-	if len(left) == len(items) && len(right) == len(items) {
-		a.releaseItems(mark)
-		c.makeLeaf(a, items, depth)
-		return
-	}
-	c.counters.noteInner()
-	self := a.emitInner(split.Axis, split.Pos)
-	c.finishSubtree(a, left, lb, depth+1, lazy)
-	a.patchRight(self, int32(len(a.nodes)))
-	c.finishSubtree(a, right, rb, depth+1, lazy)
-	a.releaseItems(mark)
 }
 
 // levelDecision is the per-node outcome of the split-search phase.

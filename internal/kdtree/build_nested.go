@@ -29,16 +29,28 @@ func (c *buildCtx) buildNested() vecmath.AABB {
 	if len(items) == 0 {
 		return vecmath.AABB{}
 	}
-	c.recurseNested(a, items, bounds, 0)
+	c.recurseNested(a, items, bounds, 0, false, c.cfg.Workers)
 	return bounds
 }
 
-func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, depth int) {
+// recurseNested is the depth-first recursion over nodes of at least
+// nestedSequentialCutoff items: the binned split search and the partition
+// each run on up to workers goroutines, and a smaller node becomes a
+// sweep-engine subtree. The nested builder enters it at the root with the
+// full worker budget; the in-place and lazy builders' subtree tasks enter
+// it at their frontier nodes with one worker and their lazy flag. Those
+// tasks spawn none of their own: a frontier at least S·Workers wide sits at
+// depth spawnCap or deeper.
+func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, depth int, lazy bool, workers int) {
 	if c.checkAbort(depth) {
 		return
 	}
 	if len(items) < nestedSequentialCutoff {
-		c.recurseSweep(a, items, evLists{}, bounds, depth, false)
+		c.recurseSweep(a, items, evLists{}, bounds, depth, lazy)
+		return
+	}
+	if c.shouldDefer(lazy, len(items), depth) {
+		c.makeDeferred(a, items, bounds, depth)
 		return
 	}
 	if depth >= c.cfg.MaxDepth {
@@ -46,14 +58,14 @@ func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, de
 		return
 	}
 
-	split, ok := c.parallelBestSplit(items, bounds)
+	split, ok := c.parallelBestSplit(items, bounds, workers)
 	if !ok || c.params.ShouldTerminate(len(items), split) {
 		c.makeLeaf(a, items, depth)
 		return
 	}
 
 	mark := a.markItems()
-	left, right, lb, rb := c.parallelPartition(a, items, split, bounds)
+	left, right, lb, rb := c.parallelPartition(a, items, split, bounds, workers)
 	// A canceled partition returns unusable lists (skipped chunks leave
 	// garbage counts); bail before acting on them.
 	if c.aborted() {
@@ -75,12 +87,12 @@ func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, de
 		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
 		c.pool.Spawn(func() {
 			defer wg.Done()
-			c.recurseNested(la, left, lb, depth+1)
+			c.recurseNested(la, left, lb, depth+1, lazy, workers)
 		})
 		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
 		c.pool.Spawn(func() {
 			defer wg.Done()
-			c.recurseNested(ra, right, rb, depth+1)
+			c.recurseNested(ra, right, rb, depth+1, lazy, workers)
 		})
 		wg.Wait()
 		a.graft(la)
@@ -88,9 +100,9 @@ func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, de
 		c.b.putArena(la)
 		c.b.putArena(ra)
 	} else {
-		c.recurseNested(a, left, lb, depth+1)
+		c.recurseNested(a, left, lb, depth+1, lazy, workers)
 		a.patchRight(self, int32(len(a.nodes)))
-		c.recurseNested(a, right, rb, depth+1)
+		c.recurseNested(a, right, rb, depth+1, lazy, workers)
 	}
 	a.releaseItems(mark)
 }
@@ -99,9 +111,10 @@ func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, de
 // private histograms merged at the barrier (parallel histogram + reduction).
 // The chunk geometry and the chunk index both come from the parallel
 // package, so no arithmetic here can drift out of sync with the scheduler;
-// worker counts <= 0 are normalised inside.
-func (c *buildCtx) parallelBestSplit(items []item, bounds vecmath.AABB) (sah.Split, bool) {
-	return sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(items), c.cfg.Bins, c.cfg.Workers, c.cfg.BinGrain,
+// worker counts <= 0 are normalised inside. The split does not depend on
+// workers.
+func (c *buildCtx) parallelBestSplit(items []item, bounds vecmath.AABB, workers int) (sah.Split, bool) {
+	return sah.FindBestSplitBinnedChunks(c.canceler(), c.params, bounds, len(items), c.cfg.Bins, workers, c.cfg.BinGrain,
 		func(bs *sah.BinSet, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				bs.Add(items[i].bounds)
@@ -117,11 +130,16 @@ func (c *buildCtx) parallelBestSplit(items []item, bounds vecmath.AABB) (sah.Spl
 // next item's (or the side's total), so the scanned counts also record the
 // classification. All scratch comes from the arena (it dies before the
 // recursion descends); the child lists are carved off the item stack at
-// the exact sizes the scans report.
-func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, parent vecmath.AABB) (left, right []item, lb, rb vecmath.AABB) {
+// the exact sizes the scans report. One worker gains nothing from the
+// scans, and their per-item offset arrays would stay in every subtree
+// arena, so it partitions sequentially (partitionItems, the same lists).
+func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, parent vecmath.AABB, workers int) (left, right []item, lb, rb vecmath.AABB) {
 	lb, rb = parent.Split(split.Axis, split.Pos)
+	if workers == 1 {
+		left, right = c.partitionItems(a, items, split.Axis, split.Pos, lb, rb)
+		return left, right, lb, rb
+	}
 	n := len(items)
-	workers := c.cfg.Workers
 
 	a.cntL = ensureLen(a.cntL, n)
 	a.cntR = ensureLen(a.cntR, n)

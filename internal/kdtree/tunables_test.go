@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,11 +31,12 @@ func randomBuildVector(t *testing.T, r *rand.Rand, cfg *Config) {
 	cfg.R = 16 << r.Intn(10) // [16, 8192], lazy only
 }
 
-// TestRandomVectorsDeterministicAcrossWorkers is the PR 8 determinism
-// property: for ANY fixed tunable vector — cost params, bin count, both
-// grains, split bias — every worker count must emit the bitwise-identical
-// tree. Grains and bias may only reshape the schedule; Bins legitimately
-// changes the tree, but identically for every worker count.
+// TestRandomVectorsDeterministicAcrossWorkers is the determinism property
+// of the tunable vector: for ANY fixed vector — cost params, bin count, both
+// grains, split bias — every worker count must emit the identical tree, and
+// the identical serialized bytes, leaf layout included. Grains and bias may
+// only reshape the schedule; Bins legitimately changes the tree, but
+// identically for every worker count.
 func TestRandomVectorsDeterministicAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(801))
 	vectors := 4
@@ -51,10 +53,18 @@ func TestRandomVectorsDeterministicAcrossWorkers(t *testing.T) {
 			ref := c
 			ref.Workers = 1
 			want := Build(tris, ref)
+			wantDigest := treeDigest(t, want)
 			for _, w := range []int{2, 3 + r.Intn(8)} {
 				cw := c
 				cw.Workers = w
-				if err := sameTree(want, Build(tris, cw)); err != nil {
+				got := Build(tris, cw)
+				err := sameTree(want, got)
+				if err == nil {
+					if d := treeDigest(t, got); d != wantDigest {
+						err = fmt.Errorf("serialized digest %s, workers=1 %s", d, wantDigest)
+					}
+				}
+				if err != nil {
 					t.Fatalf("%v workers=%d vector {CI=%v CB=%v S=%d R=%d B=%d G=%d GB=%d SB=%d}: %v",
 						a, w, c.CI, c.CB, c.S, c.R, c.Bins, c.ScatterGrain, c.BinGrain, c.SplitBias, err)
 				}
