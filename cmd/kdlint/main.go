@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	kdlint [-json|-sarif] [-tests] [-rules fam,...] [packages]
-//	kdlint -escapes [-baseline lint/escapes.baseline] [-update] [-hot pkg,...]
+//	kdlint [-json] [-tests] [-rules fam,...] [packages]
+//	kdlint -escapes [-baseline lint/escapes.baseline] [-update]
 //
 // Exit status: 0 when clean, 1 when findings (or new escapes) are reported,
 // 2 on a load or usage error. The implementation lives in

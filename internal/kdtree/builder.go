@@ -110,7 +110,7 @@ func (b *Builder) finish(bounds vecmath.AABB, numTris int) *Tree {
 	t.nodes = b.main.nodes       //kdlint:allow arena.store Tree borrows the main arena by documented contract: valid until the Builder's next Build
 	t.leafTris = b.main.leafTris //kdlint:allow arena.store same borrow contract as nodes above
 	b.soa.build(t.tris, t.leafTris)
-	t.soa = b.soa //kdlint:allow arena.store same borrow contract as nodes above
+	t.soa = b.soa
 	t.root = 0
 	t.cfg = b.ctx.cfg
 	t.stats = b.ctx.counters.snapshot(b.ctx.cfg.Algorithm, numTris)

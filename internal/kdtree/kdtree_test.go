@@ -397,30 +397,3 @@ func TestDeepSceneRespectsMaxDepth(t *testing.T) {
 		}
 	}
 }
-
-func TestDebugHelpers(t *testing.T) {
-	r := rand.New(rand.NewSource(160))
-	tris := randomTriangles(r, 300, 8, 0.25)
-	tree := Build(tris, testConfig(AlgoNodeLevel))
-	p := vecmath.V(4, 4, 4)
-	leaf, chain := DebugDescend(tree, p)
-	if chain == "" && tree.Stats().NumInner > 0 {
-		t.Fatal("descent chain empty on a non-trivial tree")
-	}
-	// Every triangle in the returned leaf overlaps the leaf's region, so at
-	// minimum the indices are valid.
-	for _, ti := range leaf {
-		if ti < 0 || int(ti) >= len(tris) {
-			t.Fatalf("descend returned invalid index %d", ti)
-		}
-	}
-	// DebugIntersect agrees with Intersect on whether a watched triangle's
-	// hit is found.
-	ray := vecmath.NewRay(vecmath.V(-2, 4, 4), vecmath.V(1, 0.01, 0.02))
-	if h, ok := tree.Intersect(ray, 1e-9, math.Inf(1)); ok {
-		tested, res := DebugIntersect(tree, ray, 1e-9, math.Inf(1), int32(h.Tri))
-		if !tested {
-			t.Fatalf("DebugIntersect did not test the winning triangle: %s", res)
-		}
-	}
-}

@@ -1,5 +1,5 @@
 // Package arena checks pooled-arena alias hygiene in the packages that
-// recycle build arenas (Config.ArenaPackages). An arena's slices are owned
+// recycle build arenas (Config.Scopes["arena"]). An arena's slices are owned
 // by the pool: after putArena they will be handed to another build and
 // overwritten. An alias is therefore only safe while it provably stays
 // inside the package, where the stack discipline of the builder scopes its
@@ -25,32 +25,27 @@ import (
 	"kdtune/internal/lint"
 )
 
-// Rule returns the arena rule.
-func Rule() lint.Rule {
-	return lint.Rule{
-		Name:  "arena",
-		Doc:   "flag pooled-arena aliases crossing the package's public surface",
-		Check: check,
-	}
+// Rule is the arena rule.
+var Rule = lint.Rule{
+	Name:  "arena",
+	Check: check,
 }
 
+// arenaType is the package-local type whose fields are pooled storage: a
+// slice or pointer derived from one of its fields must not cross the
+// package's public surface.
+const arenaType = "arena"
+
 func check(p *lint.Pass) {
-	if !p.InArenaScope() {
+	if !p.InScope("arena") {
 		return
 	}
 	info := p.Pkg.Info
 
 	isArenaType := func(t types.Type) bool {
 		n := lint.NamedOf(t)
-		if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != p.Pkg.PkgPath() {
-			return false
-		}
-		for _, name := range p.Cfg.ArenaTypes {
-			if n.Obj().Name() == name {
-				return true
-			}
-		}
-		return false
+		return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == p.Pkg.PkgPath() &&
+			n.Obj().Name() == arenaType
 	}
 
 	// containsArenaSel reports whether e contains a selection of a slice-

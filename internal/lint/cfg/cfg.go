@@ -1,5 +1,5 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies, for the dataflow rules under internal/lint/ (ctxflow,
+// function bodies, for the CFG rules in internal/lint/dataflow (ctxflow,
 // locks, resource). Like the rest of kdlint it is stdlib-only: no
 // golang.org/x/tools, just the parsed AST plus go/types for resolving the
 // panic builtin.
@@ -547,12 +547,6 @@ func (g *Graph) computeDominators() {
 	}
 }
 
-// BlockDominates reports whether a dominates b (every path from entry to b
-// passes through a). A block dominates itself.
-func (g *Graph) BlockDominates(a, b *Block) bool {
-	return g.dom[b.Index].has(a.Index)
-}
-
 // Dominates reports whether point p executes on every path before point q:
 // p's block strictly dominates q's, or they share a block and p comes
 // first. Within one node (q.Node == p.Node) it reports false — callers that
@@ -561,7 +555,7 @@ func (g *Graph) Dominates(p, q Point) bool {
 	if p.Block == q.Block {
 		return p.Node < q.Node
 	}
-	return g.BlockDominates(p.Block, q.Block)
+	return g.dom[q.Block.Index].has(p.Block.Index)
 }
 
 // Shallow walks the leaf content of one block node: for a SelectStmt marker

@@ -11,14 +11,6 @@ type Func struct {
 	Body *ast.BlockStmt
 }
 
-// Name returns the declared name, or "func literal" for literals.
-func (f Func) Name() string {
-	if f.Decl != nil {
-		return f.Decl.Name.Name
-	}
-	return "func literal"
-}
-
 // Functions lists every function body in file, in source order: each
 // declaration with a body, and each function literal (at any nesting
 // depth) as its own entry.

@@ -1,5 +1,5 @@
 // Package determinism checks the packages whose outputs must be
-// bit-identical across runs and worker counts (Config.DeterminismPackages):
+// bit-identical across runs and worker counts (Config.Scopes["determinism"]):
 // the builders promise worker-count-independent trees, and the autotuner's
 // cost model assumes repeated builds of the same scene measure the same
 // work. Four categories:
@@ -23,13 +23,10 @@ import (
 	"kdtune/internal/lint"
 )
 
-// Rule returns the determinism rule.
-func Rule() lint.Rule {
-	return lint.Rule{
-		Name:  "determinism",
-		Doc:   "forbid wall-clock, unseeded randomness, map-order dependence, and raw goroutines in determinism-scoped packages",
-		Check: check,
-	}
+// Rule is the determinism rule.
+var Rule = lint.Rule{
+	Name:  "determinism",
+	Check: check,
 }
 
 // randConstructors are the math/rand package-level functions that build an
@@ -37,7 +34,7 @@ func Rule() lint.Rule {
 var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
 func check(p *lint.Pass) {
-	if !p.InDeterminismScope() {
+	if !p.InScope("determinism") {
 		return
 	}
 	info := p.Pkg.Info
@@ -70,7 +67,7 @@ func check(p *lint.Pass) {
 					}
 				}
 			case *ast.GoStmt:
-				if !p.GoroutinesAllowed() {
+				if !p.IsParallelPackage() {
 					p.Reportf("determinism.goroutine", n.Pos(),
 						"raw go statement outside the parallel substrate: ad-hoc goroutines have no deterministic join or merge order; use internal/parallel primitives")
 				}

@@ -1,6 +1,7 @@
 // Package driver is kdlint's command-line entry point, factored out of
 // cmd/kdlint so its behavior — flag parsing, rule selection, output
-// formats, and above all the exit-code contract — is testable in-process.
+// (text or -json), and above all the exit-code contract — is testable
+// in-process.
 //
 // Exit codes are part of the CI interface and deliberately split:
 //
@@ -21,29 +22,26 @@ import (
 
 	"kdtune/internal/lint"
 	"kdtune/internal/lint/arena"
-	"kdtune/internal/lint/atomics"
-	"kdtune/internal/lint/ctxflow"
+	"kdtune/internal/lint/dataflow"
 	"kdtune/internal/lint/determinism"
 	"kdtune/internal/lint/escapes"
 	"kdtune/internal/lint/guard"
 	"kdtune/internal/lint/hotpath"
-	"kdtune/internal/lint/locks"
-	"kdtune/internal/lint/resource"
 	"kdtune/internal/lint/tunable"
 )
 
 // Rules returns every rule in the order the driver runs them.
 func Rules() []lint.Rule {
 	return []lint.Rule{
-		determinism.Rule(),
-		guard.Rule(),
-		arena.Rule(),
-		hotpath.Rule(),
-		tunable.Rule(),
-		ctxflow.Rule,
-		atomics.Rule,
-		locks.Rule,
-		resource.Rule,
+		determinism.Rule,
+		guard.Rule,
+		arena.Rule,
+		hotpath.Rule,
+		tunable.Rule,
+		dataflow.Ctxflow,
+		dataflow.Atomics,
+		dataflow.Locks,
+		dataflow.Resource,
 	}
 }
 
@@ -54,19 +52,17 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kdlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	tests := fs.Bool("tests", false, "also lint _test.go files (loads test variants)")
 	ruleList := fs.String("rules", "", "comma-separated rule families to run (default: all)")
 	escapesMode := fs.Bool("escapes", false, "run the escape-analysis gate instead of the AST rules")
 	baseline := fs.String("baseline", "lint/escapes.baseline", "escape baseline file (with -escapes)")
 	update := fs.Bool("update", false, "rewrite the baseline from the current escape set (with -escapes)")
-	hot := fs.String("hot", strings.Join(escapes.HotPackages, ","), "comma-separated hot packages to gate (with -escapes)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 
 	if *escapesMode {
-		return runEscapes(stdout, stderr, *baseline, *update, strings.Split(*hot, ","))
+		return runEscapes(stdout, stderr, *baseline, *update)
 	}
 
 	rules := Rules()
@@ -108,22 +104,12 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	if cwd, err := os.Getwd(); err == nil {
 		lint.Relativize(diags, cwd)
 	}
-	switch {
-	case *sarifOut:
-		docs := map[string]string{}
-		for _, r := range Rules() {
-			docs[r.Name] = r.Doc
-		}
-		if err := lint.WriteSARIF(stdout, diags, docs); err != nil {
-			fmt.Fprintln(stderr, "kdlint:", err)
-			return 2
-		}
-	case *jsonOut:
+	if *jsonOut {
 		if err := lint.WriteJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "kdlint:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
@@ -134,8 +120,8 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runEscapes(stdout, stderr io.Writer, baseline string, update bool, hot []string) int {
-	esc, err := escapes.Collect(escapes.Options{Packages: hot})
+func runEscapes(stdout, stderr io.Writer, baseline string, update bool) int {
+	esc, err := escapes.Collect(escapes.Options{Packages: escapes.HotPackages})
 	if err != nil {
 		fmt.Fprintln(stderr, "kdlint:", err)
 		return 2
@@ -145,7 +131,7 @@ func runEscapes(stdout, stderr io.Writer, baseline string, update bool, hot []st
 			fmt.Fprintln(stderr, "kdlint:", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "kdlint: baseline %s updated: %d escapes across %s\n", baseline, len(esc), strings.Join(hot, ", "))
+		fmt.Fprintf(stdout, "kdlint: baseline %s updated: %d escapes across %s\n", baseline, len(esc), strings.Join(escapes.HotPackages, ", "))
 		return 0
 	}
 	base, err := escapes.ReadBaseline(baseline)

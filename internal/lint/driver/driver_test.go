@@ -2,7 +2,6 @@ package driver_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -64,45 +63,6 @@ func TestExitUnknownRuleIsTwo(t *testing.T) {
 	}
 	if !strings.Contains(errb, "nosuchrule") {
 		t.Errorf("stderr does not name the unknown rule: %q", errb)
-	}
-}
-
-// TestSARIFOutput: -sarif emits a parseable SARIF 2.1.0 log carrying the
-// findings, and the exit code still reflects them.
-func TestSARIFOutput(t *testing.T) {
-	code, out, errb := run("-sarif", "-rules", "hotpath", fixtureRoot+"hotfx")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name string `json:"name"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out), &log); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "kdlint" {
-		t.Fatalf("malformed runs: %+v", log.Runs)
-	}
-	if len(log.Runs[0].Results) == 0 {
-		t.Error("SARIF log carries no results despite exit 1")
-	}
-	for _, r := range log.Runs[0].Results {
-		if !strings.HasPrefix(r.RuleID, "hotpath.") {
-			t.Errorf("unexpected ruleId %q", r.RuleID)
-		}
 	}
 }
 

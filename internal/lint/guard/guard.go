@@ -22,17 +22,24 @@ package guard
 
 import (
 	"go/ast"
+	"slices"
 
 	"kdtune/internal/lint"
 )
 
-// Rule returns the guard rule.
-func Rule() lint.Rule {
-	return lint.Rule{
-		Name:  "guard",
-		Doc:   "require Canceler threading at parallel dispatch sites and BuildGuarded at external build entries",
-		Check: check,
-	}
+// Rule is the guard rule.
+var Rule = lint.Rule{
+	Name:  "guard",
+	Check: check,
+}
+
+// rawBuildEntries are the functions and methods that start an unguarded
+// build, as callee keys. Calls from outside the declaring package must
+// use lint.GuardedEntry instead or carry a //kdlint:noguard pragma.
+var rawBuildEntries = []string{
+	"kdtune/internal/kdtree.Build",
+	"kdtune/internal/kdtree.Builder.Build",
+	"kdtune.Build",
 }
 
 // cancelDispatch is the set of dispatch functions whose first parameter is
@@ -61,7 +68,7 @@ func check(p *lint.Pass) {
 
 			// guard.cancel: dispatches into the parallel substrate. The
 			// substrate's own internals are the allowlisted implementation.
-			if pkg == p.Cfg.ParallelPackage && !p.IsParallelPackage() {
+			if pkg == lint.ParallelPackage && !p.IsParallelPackage() {
 				switch {
 				case recv == "" && cancelDispatch[name] && len(call.Args) > 0 && lint.IsNilIdent(info, call.Args[0]):
 					p.Reportf("guard.cancel", call.Pos(),
@@ -75,27 +82,12 @@ func check(p *lint.Pass) {
 
 			// guard.entry: raw build entries called from outside their
 			// declaring package.
-			if pkg != "" && pkg != callerPkg {
-				key := pkg + "." + name
-				if recv != "" {
-					key = pkg + "." + recv + "." + name
-				}
-				if inEntries(key, p.Cfg.RawBuildEntries) {
-					p.Reportf("guard.entry", call.Pos(),
-						"unguarded build entry %s: external callers must use Builder.%s (panic containment, deadline, memory ceiling), or suppress with //kdlint:noguard <why an unguarded build is safe here>",
-						key, p.Cfg.GuardedEntry)
-				}
+			if key := lint.CalleeKey(fn); pkg != callerPkg && slices.Contains(rawBuildEntries, key) {
+				p.Reportf("guard.entry", call.Pos(),
+					"unguarded build entry %s: external callers must use Builder.%s (panic containment, deadline, memory ceiling), or suppress with //kdlint:noguard <why an unguarded build is safe here>",
+					key, lint.GuardedEntry)
 			}
 			return true
 		})
 	}
-}
-
-func inEntries(key string, entries []string) bool {
-	for _, e := range entries {
-		if e == key {
-			return true
-		}
-	}
-	return false
 }

@@ -22,13 +22,10 @@ import (
 	"kdtune/internal/lint"
 )
 
-// Rule returns the hotpath rule.
-func Rule() lint.Rule {
-	return lint.Rule{
-		Name:  "hotpath",
-		Doc:   "flag allocation sites inside loops of //kdlint:hotpath functions",
-		Check: check,
-	}
+// Rule is the hotpath rule.
+var Rule = lint.Rule{
+	Name:  "hotpath",
+	Check: check,
 }
 
 func check(p *lint.Pass) {

@@ -8,16 +8,18 @@
 // (go/parser, go/ast, go/types, go/importer); there is no dependency on
 // golang.org/x/tools.
 //
-// Each invariant lives in its own rule package under internal/lint/
-// (determinism, guard, arena, hotpath); this package provides the shared
-// machinery: the package loader, the diagnostic and suppression engine, and
-// the configuration that scopes rules to the packages whose contracts they
-// police.
+// The AST rules live one package per invariant under internal/lint/
+// (determinism, guard, arena, hotpath, tunable), and the four CFG rules
+// (ctxflow, atomics, locks, resource) share internal/lint/dataflow. This
+// package provides the shared machinery: the package loader, the
+// diagnostic and suppression engine, and the configuration that scopes
+// rules to the packages whose contracts they police.
 package lint
 
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 )
 
@@ -25,7 +27,7 @@ import (
 type Diagnostic struct {
 	// Rule is the dotted rule category, e.g. "guard.cancel" or
 	// "determinism.maprange". The prefix before the first dot names the
-	// rule package that produced it.
+	// rule family that produced it.
 	Rule    string
 	Pos     token.Position
 	Message string
@@ -43,7 +45,6 @@ func (d Diagnostic) String() string {
 // pass.
 type Rule struct {
 	Name  string // rule family name, e.g. "guard"
-	Doc   string // one-line description for -help output
 	Check func(*Pass)
 }
 
@@ -63,100 +64,30 @@ func (p *Pass) Reportf(rule string, pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Config scopes the rules to the packages whose invariants they police.
-// Paths are full import paths. The zero value disables everything; use
-// DefaultConfig for the repository's real layout. Fixture tests substitute
-// their own package paths so every rule is exercised end to end against
-// real type information.
+// ParallelPackage is the fork-join substrate; its exported dispatch
+// functions define the call sites the guard and tunable rules audit. The
+// package itself is exempt from guard.cancel, tunable.* and
+// determinism.goroutine: it is the implementation the invariants are
+// defined against.
+const ParallelPackage = "kdtune/internal/parallel"
+
+// GuardedEntry is the sanctioned external entry into a build, a method of
+// the kdtree Builder.
+const GuardedEntry = "BuildGuarded"
+
+// Config scopes the rules to the packages whose invariants they police and
+// holds the protocol tables of the dataflow rules. Paths are full import
+// paths. DefaultConfig gives the repository's real layout; fixture tests
+// re-point these fields at their own packages so every rule is exercised
+// end to end against real type information.
 type Config struct {
-	// ParallelPackage is the fork-join substrate; its exported dispatch
-	// functions define the call sites the guard rule audits. The package
-	// itself is exempt from guard.cancel and determinism.goroutine — it is
-	// the allowlisted implementation the invariants are defined against.
-	ParallelPackage string
-
-	// KDTreePackage hosts the Builder whose BuildGuarded entry point the
-	// guard.entry rule enforces.
-	KDTreePackage string
-
-	// RawBuildEntries are the functions and methods that start an
-	// unguarded build, qualified as "<pkgpath>.<Func>" or
-	// "<pkgpath>.<Type>.<Method>". Calls from outside the declaring
-	// package must use GuardedEntry instead or carry a //kdlint:noguard
-	// pragma.
-	RawBuildEntries []string
-
-	// GuardedEntry is the sanctioned external entry point (BuildGuarded).
-	GuardedEntry string
-
-	// DeterminismPackages are the packages whose outputs must be
-	// bit-identical across runs and worker counts; determinism.* rules
-	// apply inside them.
-	DeterminismPackages []string
-
-	// GoroutineAllowlist are packages allowed to use raw go statements
-	// even when listed in DeterminismPackages (the parallel substrate).
-	GoroutineAllowlist []string
-
-	// ArenaPackages are packages using pooled build arenas; arena.* rules
-	// apply inside them.
-	ArenaPackages []string
-
-	// ArenaTypes are the (unexported, package-local) type names whose
-	// fields are pooled storage, e.g. "arena". A slice or pointer derived
-	// from a field of such a type must not cross the package's public
-	// surface.
-	ArenaTypes []string
-
-	// SAHPackage hosts the binned SAH split search whose bins and grain
-	// arguments the tunable rule audits.
-	SAHPackage string
-
-	// TunablePackages are the packages whose parallel-dispatch grains and
-	// SAH bin counts must flow from the tunable registry (or its named
-	// defaults) rather than inline literals; tunable.* rules apply inside
-	// them. The parallel substrate itself is exempt.
-	TunablePackages []string
+	// Scopes maps a rule family (determinism, arena, tunable, ctxflow,
+	// atomics, locks, resource) to the packages it applies inside. The
+	// guard and hotpath families apply everywhere and have no entry.
+	Scopes map[string][]string
 
 	// IncludeTests selects whether _test.go files are loaded and linted.
 	IncludeTests bool
-
-	// --- dataflow rules (ctxflow, atomics, locks, resource) ---
-
-	// CtxFlowPackages are the request-serving packages whose blocking
-	// operations must be dominated by the request context; ctxflow.* rules
-	// apply inside them.
-	CtxFlowPackages []string
-
-	// CtxGuardFunc derives a build Guard from a context, as
-	// "<pkgpath>.<Func>". GuardedEntry calls inside CtxFlowPackages must
-	// thread a guard produced by it.
-	CtxGuardFunc string
-
-	// CtxLinkFunc links a Canceler to a context, as "<pkgpath>.<Func>".
-	// A Canceler handed to a dispatch inside CtxFlowPackages must first
-	// flow through it (or arrive as a parameter, linked by the caller).
-	CtxLinkFunc string
-
-	// CancelerType is the cooperative-cancellation flag type the parallel
-	// substrate polls, as "<pkgpath>.<Type>".
-	CancelerType string
-
-	// BlockingFuncs are calls the ctxflow and locks rules treat as
-	// potentially blocking, as "<pkgpath>.<Func>" or
-	// "<pkgpath>.<Type>.<Method>", beyond the built-in channel, select
-	// and sync cases.
-	BlockingFuncs []string
-
-	// AtomicsPackages are the packages subject to atomics.* rules: a
-	// field accessed through sync/atomic anywhere must be accessed
-	// atomically everywhere.
-	AtomicsPackages []string
-
-	// LocksPackages are the packages subject to locks.* rules: no
-	// blocking operation while a mutex is held, and only declared lock
-	// nesting.
-	LocksPackages []string
 
 	// LockOrder declares the sanctioned mutex nesting as "outer<inner"
 	// pairs of lock classes ("<pkgpath>.<Type>.<field>"). Nesting
@@ -169,15 +100,12 @@ type Config struct {
 	// visible without interprocedural analysis.
 	LockMethods map[string]string
 
-	// ResourcePackages are the packages subject to resource.* rules.
-	ResourcePackages []string
-
 	// Resources are the acquire/release protocols the resource rule
-	// enforces inside ResourcePackages.
+	// enforces.
 	Resources []ResourceSpec
 
 	// Latches are the latch types whose publish obligation the resource
-	// rule enforces inside ResourcePackages.
+	// rule enforces.
 	Latches []LatchSpec
 }
 
@@ -211,48 +139,21 @@ type LatchSpec struct {
 
 // DefaultConfig returns the scoping for this repository.
 func DefaultConfig() *Config {
+	const (
+		kdtree  = "kdtune/internal/kdtree"
+		sah     = "kdtune/internal/sah"
+		serve   = "kdtune/internal/serve"
+		harness = "kdtune/internal/harness"
+	)
 	return &Config{
-		ParallelPackage: "kdtune/internal/parallel",
-		KDTreePackage:   "kdtune/internal/kdtree",
-		RawBuildEntries: []string{
-			"kdtune/internal/kdtree.Build",
-			"kdtune/internal/kdtree.Builder.Build",
-			"kdtune.Build",
-		},
-		GuardedEntry: "BuildGuarded",
-		DeterminismPackages: []string{
-			"kdtune/internal/kdtree",
-			"kdtune/internal/sah",
-			"kdtune/internal/parallel",
-		},
-		GoroutineAllowlist: []string{"kdtune/internal/parallel"},
-		ArenaPackages:      []string{"kdtune/internal/kdtree"},
-		ArenaTypes:         []string{"arena"},
-		SAHPackage:         "kdtune/internal/sah",
-		TunablePackages: []string{
-			"kdtune/internal/kdtree",
-			"kdtune/internal/sah",
-		},
-		CtxFlowPackages: []string{"kdtune/internal/serve"},
-		CtxGuardFunc:    "kdtune/internal/kdtree.GuardFromContext",
-		CtxLinkFunc:     "kdtune/internal/parallel.LinkContext",
-		CancelerType:    "kdtune/internal/parallel.Canceler",
-		BlockingFuncs: []string{
-			"kdtune/internal/kdtree.Builder.BuildGuarded",
-			"kdtune/internal/render.RenderInto",
-			"kdtune/internal/parallel.For",
-			"kdtune/internal/parallel.ForChunks",
-			"kdtune/internal/parallel.Pool.Wait",
-		},
-		AtomicsPackages: []string{
-			"kdtune/internal/serve",
-			"kdtune/internal/parallel",
-			"kdtune/internal/harness",
-		},
-		LocksPackages: []string{
-			"kdtune/internal/serve",
-			"kdtune/internal/parallel",
-			"kdtune/internal/harness",
+		Scopes: map[string][]string{
+			"determinism": {kdtree, sah, ParallelPackage},
+			"arena":       {kdtree},
+			"tunable":     {kdtree, sah},
+			"ctxflow":     {serve},
+			"atomics":     {serve, ParallelPackage, harness},
+			"locks":       {serve, ParallelPackage, harness},
+			"resource":    {serve},
 		},
 		LockOrder: []string{
 			"kdtune/internal/serve.cacheEntry.mu<kdtune/internal/serve.CachedTree.mu",
@@ -273,7 +174,6 @@ func DefaultConfig() *Config {
 			"kdtune/internal/serve.treeCache.Invalidate": "kdtune/internal/serve.cacheEntry.mu",
 			"kdtune/internal/serve.treeCache.Generation": "kdtune/internal/serve.cacheEntry.mu",
 		},
-		ResourcePackages: []string{"kdtune/internal/serve"},
 		Resources: []ResourceSpec{
 			{
 				Name:           "Builder",
@@ -304,69 +204,17 @@ func DefaultConfig() *Config {
 	}
 }
 
-// inList reports whether path is one of the listed package paths.
-func inList(path string, list []string) bool {
-	for _, p := range list {
-		if p == path {
-			return true
-		}
-	}
-	return false
-}
-
-// InDeterminismScope reports whether the pass's package is subject to
-// determinism.* rules.
-func (p *Pass) InDeterminismScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.DeterminismPackages)
-}
-
-// InArenaScope reports whether the pass's package is subject to arena.*
-// rules.
-func (p *Pass) InArenaScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.ArenaPackages)
-}
-
-// InTunableScope reports whether the pass's package is subject to
-// tunable.* rules.
-func (p *Pass) InTunableScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.TunablePackages)
-}
-
-// InCtxFlowScope reports whether the pass's package is subject to
-// ctxflow.* rules.
-func (p *Pass) InCtxFlowScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.CtxFlowPackages)
-}
-
-// InAtomicsScope reports whether the pass's package is subject to
-// atomics.* rules.
-func (p *Pass) InAtomicsScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.AtomicsPackages)
-}
-
-// InLocksScope reports whether the pass's package is subject to locks.*
-// rules.
-func (p *Pass) InLocksScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.LocksPackages)
-}
-
-// InResourceScope reports whether the pass's package is subject to
-// resource.* rules.
-func (p *Pass) InResourceScope() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.ResourcePackages)
-}
-
-// GoroutinesAllowed reports whether raw go statements are allowlisted in
-// the pass's package (the parallel substrate itself).
-func (p *Pass) GoroutinesAllowed() bool {
-	return inList(p.Pkg.PkgPath(), p.Cfg.GoroutineAllowlist)
+// InScope reports whether the pass's package is subject to the rule
+// family's checks.
+func (p *Pass) InScope(family string) bool {
+	return slices.Contains(p.Cfg.Scopes[family], p.Pkg.PkgPath())
 }
 
 // IsParallelPackage reports whether the pass's package is the fork-join
 // substrate itself, which is exempt from the call-site rules defined in
 // terms of it.
 func (p *Pass) IsParallelPackage() bool {
-	return p.Pkg.PkgPath() == p.Cfg.ParallelPackage
+	return p.Pkg.PkgPath() == ParallelPackage
 }
 
 // Run applies every rule to every package, layers in the pragma

@@ -8,26 +8,19 @@ import (
 
 	"kdtune/internal/lint"
 	"kdtune/internal/lint/arena"
-	"kdtune/internal/lint/atomics"
-	"kdtune/internal/lint/ctxflow"
+	"kdtune/internal/lint/dataflow"
 	"kdtune/internal/lint/determinism"
+	"kdtune/internal/lint/driver"
 	"kdtune/internal/lint/guard"
 	"kdtune/internal/lint/hotpath"
 	"kdtune/internal/lint/linttest"
-	"kdtune/internal/lint/locks"
-	"kdtune/internal/lint/resource"
 	"kdtune/internal/lint/tunable"
 )
 
 const fixtureRoot = "kdtune/internal/lint/testdata/src/"
 
-// AllRules assembles the production rule set, mirroring cmd/kdlint.
-func allRules() []lint.Rule {
-	return []lint.Rule{
-		determinism.Rule(), guard.Rule(), arena.Rule(), hotpath.Rule(), tunable.Rule(),
-		ctxflow.Rule, atomics.Rule, locks.Rule, resource.Rule,
-	}
-}
+// dataflowRules are the four CFG rules, in driver order.
+var dataflowRules = []lint.Rule{dataflow.Ctxflow, dataflow.Atomics, dataflow.Locks, dataflow.Resource}
 
 // dataflowConfig rescopes the four CFG/dataflow rules onto their fixture
 // packages, with the same protocol tables the fixture comments describe.
@@ -35,12 +28,12 @@ func dataflowConfig() *lint.Config {
 	const lockfx = fixtureRoot + "lockfx"
 	const resfx = fixtureRoot + "resfx"
 	cfg := lint.DefaultConfig()
-	cfg.CtxFlowPackages = []string{fixtureRoot + "ctxfx"}
-	cfg.AtomicsPackages = []string{fixtureRoot + "atomfx"}
-	cfg.LocksPackages = []string{lockfx}
+	cfg.Scopes["ctxflow"] = []string{fixtureRoot + "ctxfx"}
+	cfg.Scopes["atomics"] = []string{fixtureRoot + "atomfx"}
+	cfg.Scopes["locks"] = []string{lockfx}
 	cfg.LockOrder = []string{lockfx + ".outer.mu<" + lockfx + ".inner.mu"}
 	cfg.LockMethods = map[string]string{lockfx + ".table.get": lockfx + ".table.mu"}
-	cfg.ResourcePackages = []string{resfx}
+	cfg.Scopes["resource"] = []string{resfx}
 	cfg.Resources = []lint.ResourceSpec{{
 		Name:           "conn",
 		Acquire:        []string{resfx + ".pool.Get", resfx + ".pool.GetErr"},
@@ -56,47 +49,47 @@ func dataflowConfig() *lint.Config {
 
 func TestDeterminismRule(t *testing.T) {
 	cfg := lint.DefaultConfig()
-	cfg.DeterminismPackages = []string{fixtureRoot + "detfx"}
-	linttest.Run(t, fixtureRoot+"detfx", cfg, []lint.Rule{determinism.Rule()})
+	cfg.Scopes["determinism"] = []string{fixtureRoot + "detfx"}
+	linttest.Run(t, fixtureRoot+"detfx", cfg, []lint.Rule{determinism.Rule})
 }
 
 // TestGuardRule needs no rescoping: the fixture imports the real parallel
 // and kdtree packages, so the default config's dispatch and entry tables
 // apply as-is.
 func TestGuardRule(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"guardfx", lint.DefaultConfig(), []lint.Rule{guard.Rule()})
+	linttest.Run(t, fixtureRoot+"guardfx", lint.DefaultConfig(), []lint.Rule{guard.Rule})
 }
 
 func TestArenaRule(t *testing.T) {
 	cfg := lint.DefaultConfig()
-	cfg.ArenaPackages = []string{fixtureRoot + "arenafx"}
-	linttest.Run(t, fixtureRoot+"arenafx", cfg, []lint.Rule{arena.Rule()})
+	cfg.Scopes["arena"] = []string{fixtureRoot + "arenafx"}
+	linttest.Run(t, fixtureRoot+"arenafx", cfg, []lint.Rule{arena.Rule})
 }
 
 // TestHotpathRule: the rule is driven by //kdlint:hotpath markers, not
 // package scoping, so the default config applies.
 func TestHotpathRule(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"hotfx", lint.DefaultConfig(), []lint.Rule{hotpath.Rule()})
+	linttest.Run(t, fixtureRoot+"hotfx", lint.DefaultConfig(), []lint.Rule{hotpath.Rule})
 }
 
-// TestTunableRule rescopes TunablePackages onto the fixture; the dispatch
+// TestTunableRule rescopes the tunable family onto the fixture; the dispatch
 // and SAH argument-position tables are checked against the real signatures
 // the fixture imports.
 func TestTunableRule(t *testing.T) {
 	cfg := lint.DefaultConfig()
-	cfg.TunablePackages = []string{fixtureRoot + "tunablefx"}
-	linttest.Run(t, fixtureRoot+"tunablefx", cfg, []lint.Rule{tunable.Rule()})
+	cfg.Scopes["tunable"] = []string{fixtureRoot + "tunablefx"}
+	linttest.Run(t, fixtureRoot+"tunablefx", cfg, []lint.Rule{tunable.Rule})
 }
 
 // TestTunableRuleOutOfScope pins the scoping: the same fixture is silent
-// when not listed in TunablePackages.
+// when not listed in the tunable scope.
 func TestTunableRuleOutOfScope(t *testing.T) {
 	pkgs, err := lint.Load("", []string{fixtureRoot + "tunablefx"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := lint.DefaultConfig() // scopes point at the real repo packages
-	for _, d := range lint.Run(pkgs, cfg, []lint.Rule{tunable.Rule()}) {
+	for _, d := range lint.Run(pkgs, cfg, []lint.Rule{tunable.Rule}) {
 		t.Errorf("out-of-scope finding: %s", d)
 	}
 }
@@ -104,7 +97,7 @@ func TestTunableRuleOutOfScope(t *testing.T) {
 // TestPragmaEngine checks that malformed pragmas are diagnosed, reasonless
 // pragmas suppress nothing, and valid pragmas suppress the line below.
 func TestPragmaEngine(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"pragmafx", lint.DefaultConfig(), []lint.Rule{guard.Rule()})
+	linttest.Run(t, fixtureRoot+"pragmafx", lint.DefaultConfig(), []lint.Rule{guard.Rule})
 }
 
 // TestRulesCleanOnFixturesOutOfScope pins the scoping logic: determinism
@@ -116,7 +109,7 @@ func TestRulesCleanOutOfScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := lint.DefaultConfig() // scopes point at the real repo packages, not the fixtures
-	for _, d := range lint.Run(pkgs, cfg, []lint.Rule{determinism.Rule(), arena.Rule()}) {
+	for _, d := range lint.Run(pkgs, cfg, []lint.Rule{determinism.Rule, arena.Rule}) {
 		t.Errorf("out-of-scope finding: %s", d)
 	}
 }
@@ -154,19 +147,19 @@ func TestLoadTestVariant(t *testing.T) {
 // packages, so the default guard/link tables apply; only the scope is
 // moved onto the fixture.
 func TestCtxflowRule(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"ctxfx", dataflowConfig(), []lint.Rule{ctxflow.Rule})
+	linttest.Run(t, fixtureRoot+"ctxfx", dataflowConfig(), []lint.Rule{dataflow.Ctxflow})
 }
 
 func TestAtomicsRule(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"atomfx", dataflowConfig(), []lint.Rule{atomics.Rule})
+	linttest.Run(t, fixtureRoot+"atomfx", dataflowConfig(), []lint.Rule{dataflow.Atomics})
 }
 
 func TestLocksRule(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"lockfx", dataflowConfig(), []lint.Rule{locks.Rule})
+	linttest.Run(t, fixtureRoot+"lockfx", dataflowConfig(), []lint.Rule{dataflow.Locks})
 }
 
 func TestResourceRule(t *testing.T) {
-	linttest.Run(t, fixtureRoot+"resfx", dataflowConfig(), []lint.Rule{resource.Rule})
+	linttest.Run(t, fixtureRoot+"resfx", dataflowConfig(), []lint.Rule{dataflow.Resource})
 }
 
 // TestDataflowRulesOutOfScope pins the scoping: under the default config
@@ -180,8 +173,7 @@ func TestDataflowRulesOutOfScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := []lint.Rule{ctxflow.Rule, atomics.Rule, locks.Rule, resource.Rule}
-	for _, d := range lint.Run(pkgs, lint.DefaultConfig(), rules) {
+	for _, d := range lint.Run(pkgs, lint.DefaultConfig(), dataflowRules) {
 		t.Errorf("out-of-scope finding: %s", d)
 	}
 }
@@ -197,8 +189,7 @@ func TestDataflowJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := []lint.Rule{ctxflow.Rule, atomics.Rule, locks.Rule, resource.Rule}
-	diags := lint.Run(pkgs, dataflowConfig(), rules)
+	diags := lint.Run(pkgs, dataflowConfig(), dataflowRules)
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -224,16 +215,16 @@ func TestDataflowJSONGolden(t *testing.T) {
 }
 
 // TestJSONGolden pins the machine-readable output format end to end: load
-// a fixture, run the full rule set, relativize paths to the module root,
-// and compare byte-for-byte with the committed golden file.
+// a fixture, run the driver's production rule set, relativize paths to the
+// module root, and compare byte-for-byte with the committed golden file.
 func TestJSONGolden(t *testing.T) {
 	pkgs, err := lint.Load("", []string{fixtureRoot + "detfx"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := lint.DefaultConfig()
-	cfg.DeterminismPackages = []string{fixtureRoot + "detfx"}
-	diags := lint.Run(pkgs, cfg, allRules())
+	cfg.Scopes["determinism"] = []string{fixtureRoot + "detfx"}
+	diags := lint.Run(pkgs, cfg, driver.Rules())
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)

@@ -34,14 +34,15 @@ import (
 	"kdtune/internal/lint"
 )
 
-// Rule returns the tunable rule.
-func Rule() lint.Rule {
-	return lint.Rule{
-		Name:  "tunable",
-		Doc:   "forbid hard-coded grain/bin literals at parallel dispatch and SAH split-search call sites",
-		Check: check,
-	}
+// Rule is the tunable rule.
+var Rule = lint.Rule{
+	Name:  "tunable",
+	Check: check,
 }
+
+// sahPackage hosts the binned SAH split search whose bins and grain
+// arguments the rule audits.
+const sahPackage = "kdtune/internal/sah"
 
 // parallelGrainPos maps each grain-taking dispatch function of the parallel
 // package to the argument index of its grain.
@@ -58,7 +59,7 @@ var sahArgPos = map[string]struct{ bins, grain int }{
 }
 
 func check(p *lint.Pass) {
-	if !p.InTunableScope() || p.IsParallelPackage() {
+	if !p.InScope("tunable") || p.IsParallelPackage() {
 		return
 	}
 	info := p.Pkg.Info
@@ -74,12 +75,12 @@ func check(p *lint.Pass) {
 			}
 			pkg, name := lint.FuncPkgPath(fn), fn.Name()
 			switch pkg {
-			case p.Cfg.ParallelPackage:
+			case lint.ParallelPackage:
 				if pos, ok := parallelGrainPos[name]; ok {
 					checkArg(p, call, pos, "grain", "parallel."+name,
 						"grains are registry tunables (Config.ScatterGrain, Config.BinGrain): thread the tuned value, pass 1 for no grain floor")
 				}
-			case p.Cfg.SAHPackage:
+			case sahPackage:
 				if pos, ok := sahArgPos[name]; ok {
 					checkArg(p, call, pos.bins, "bins", "sah."+name,
 						"the SAH bin count B is a registry tunable (Config.Bins) that shapes the tree: thread the tuned value")
