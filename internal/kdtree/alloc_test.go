@@ -18,7 +18,7 @@ func TestNodeSize(t *testing.T) {
 }
 
 // allocTestTree builds a single-worker tree for the allocation probes:
-// parallel.SortFunc/ExclusiveScan allocate only on their spawn paths, so
+// parallel.ExclusiveScan and the pool allocate only on their spawn paths, so
 // Workers=1 isolates the traversal/build steady state from scheduler noise.
 func allocTestTree(t testing.TB, algo Algorithm, n int) (*Tree, []vecmath.Triangle) {
 	r := rand.New(rand.NewSource(1905))

@@ -91,7 +91,8 @@ type arena struct {
 
 	// Per-node scratch that dies before the recursion descends; plain
 	// resize-and-reuse, no stack discipline needed.
-	keys   []evKey  // sweep: one axis's events with positions, for sorting
+	keys   []evKey  // sweep: one axis's events with position keys, for sorting
+	radix  []evKey  // sweep: the radix sort's ping-pong partner of keys
 	slots  []uint32 // sweep: parent slot -> child slot of a spliced item
 	freshL []uint32 // sweep: left-child slots that get fresh events
 	freshR []uint32 // sweep: right-child slots that get fresh events
@@ -200,6 +201,14 @@ func ensureLen[T any](s []T, n int) []T {
 		return make([]T, n, growCap(n))
 	}
 	return s[:n]
+}
+
+// keyScratch returns the key scratch resized to n keys, and sizes the radix
+// sort's ping-pong buffer to match.
+func (a *arena) keyScratch(n int) []evKey {
+	a.keys = ensureLen(a.keys, n)
+	a.radix = ensureLen(a.radix, n)
+	return a.keys
 }
 
 // emitInner appends an inner node with its right child still unset and

@@ -244,7 +244,7 @@ func (c *buildCtx) decideSplitLevel(a *arena, sub []item, bounds vecmath.AABB, d
 	var ok bool
 	if len(sub) < nestedSequentialCutoff {
 		mark := a.markEvents()
-		split, ok = c.sweepEvents(sub, c.sortedEvents(a, sub, 1), bounds)
+		split, ok = c.sweepEvents(sub, a.sortedEvents(sub), bounds)
 		a.releaseEvents(mark)
 	} else {
 		split, ok = c.parallelBestSplit(sub, bounds, workers)

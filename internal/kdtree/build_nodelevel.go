@@ -43,17 +43,8 @@ func (c *buildCtx) recurseSweep(a *arena, items []item, ev evLists, bounds vecma
 	}
 	imark, emark := a.markItems(), a.markEvents()
 	if ev[vecmath.AxisX] == nil {
-		// The subtree's first sweep. The sort dominates it; give the full
-		// worker budget to the huge roots, where few subtree tasks exist.
-		workers := 1
-		if len(items) >= 32768 {
-			workers = c.cfg.Workers
-		}
-		ev = c.sortedEvents(a, items, workers)
-		if c.aborted() {
-			a.releaseEvents(emark)
-			return
-		}
+		// The subtree's first sweep: one serial O(n) radix sort per axis.
+		ev = a.sortedEvents(items)
 	}
 	split, ok := c.sweepEvents(items, ev, bounds)
 	if !ok || c.params.ShouldTerminate(len(items), split) {

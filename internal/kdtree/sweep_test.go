@@ -1,6 +1,8 @@
 package kdtree
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -240,7 +242,7 @@ func TestSweepEngineMatchesReference(t *testing.T) {
 		for i, bx := range set.boxes {
 			items[i] = item{int32(i), bx}
 		}
-		ev := c.sortedEvents(a, items, 1)
+		ev := a.sortedEvents(items)
 		got, gotOK := c.sweepEvents(items, ev, node)
 		want, wantOK := sah.FindBestSplitSweep(nil, c.params, node, set.boxes, 1)
 		if gotOK != wantOK || got != want {
@@ -266,7 +268,7 @@ func TestSweepEngineSplicesClippedItems(t *testing.T) {
 	c := b.prepare(tris, cfg.normalized(len(tris)))
 	a := &b.main
 	items, bounds := c.rootItems(a)
-	if checkSplices(t, "clipped", c, a, items, c.sortedEvents(a, items, 1), bounds, 7) == 0 {
+	if checkSplices(t, "clipped", c, a, items, a.sortedEvents(items), bounds, 7) == 0 {
 		t.Fatal("no interior candidate plane exercised")
 	}
 }
@@ -297,7 +299,7 @@ func checkSplices(t *testing.T, name string, c *buildCtx, a *arena, items []item
 					items []item
 					ev    evLists
 				}{{left, lev}, {right, rev}} {
-					fresh := c.sortedEvents(a, child.items, 1)
+					fresh := a.sortedEvents(child.items)
 					for ax := range fresh {
 						if !slices.Equal(child.ev[ax], fresh[ax]) {
 							t.Fatalf("%s: split %v@%v: spliced child %d list %d differs from a fresh sort", name, axis, pos, side, ax)
@@ -351,9 +353,9 @@ func FuzzSweepEngine(f *testing.F) {
 
 // TestSweepEventStorageBounded pins the engine's compact layout: after
 // three warm builds at two workers, the event storage a Builder retains
-// (event stacks plus the sweep's per-node scratch, capacities summed over
-// the main arena and the free list) is no larger than the item stacks it
-// retains.
+// (event stacks plus the sweep's per-node scratch, the radix sort's
+// ping-pong buffer included, capacities summed over the main arena and the
+// free list) is no larger than the item stacks it retains.
 func TestSweepEventStorageBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scene-scale builds are slow under -short")
@@ -378,7 +380,7 @@ func TestSweepEventStorageBounded(t *testing.T) {
 		for _, a := range append([]*arena{&b.main}, b.arenaFree...) {
 			items += int64(cap(a.items)) * itemBytes
 			events += int64(cap(a.events))*eventBytes +
-				int64(cap(a.keys))*int64(unsafe.Sizeof(evKey{})) +
+				int64(cap(a.keys)+cap(a.radix))*int64(unsafe.Sizeof(evKey{})) +
 				int64(cap(a.slots)+cap(a.freshL)+cap(a.freshR))*int64(unsafe.Sizeof(uint32(0)))
 		}
 		t.Logf("%s %v: event storage %.2f MiB, item stacks %.2f MiB", tc.scene, tc.algo, float64(events)/(1<<20), float64(items)/(1<<20))
@@ -405,6 +407,178 @@ func BenchmarkSortOnceVsPerNode(b *testing.B) {
 	b.Run("per-node", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			perNodeTree(tris, cfg)
+		}
+	})
+}
+
+// cmpFloatEvent is the comparison order of event keys that carry the float
+// position itself: < and > on pos, then the code. Under it -0 and +0 tie
+// and fall back on the code. The engine's radix order must equal it.
+func cmpFloatEvent(x, y floatEvent) int {
+	switch {
+	case x.pos < y.pos:
+		return -1
+	case x.pos > y.pos:
+		return 1
+	}
+	return cmp.Compare(x.code, y.code)
+}
+
+type floatEvent struct {
+	pos  float64
+	code uint32
+}
+
+// eventOrderRecord is the size of one FuzzEventOrder record: a flag byte
+// (bit 0: the box is planar; the rest: the gap to the next slot) and the
+// raw bits of the box's two ends on the axis.
+const eventOrderRecord = 17
+
+// eventOrderBoxes decodes fuzz data into boxes along X at ascending slots
+// with gaps, skipping records whose ends are not finite.
+func eventOrderBoxes(data []byte) (items []item, slots []uint32) {
+	slot := uint32(0)
+	for ; len(data) >= eventOrderRecord; data = data[eventOrderRecord:] {
+		lo := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+		hi := math.Float64frombits(binary.LittleEndian.Uint64(data[9:]))
+		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
+			continue
+		}
+		if data[0]&1 != 0 {
+			hi = lo
+		} else if hi < lo {
+			lo, hi = hi, lo
+		}
+		slot += uint32(data[0] >> 1)
+		for uint32(len(items)) < slot {
+			items = append(items, item{})
+		}
+		items = append(items, item{tri: int32(slot), bounds: vecmath.AABB{Min: vecmath.V(lo, 0, 0), Max: vecmath.V(hi, 0, 0)}})
+		slots = append(slots, slot)
+		slot++
+	}
+	return items, slots
+}
+
+func eventOrderSeed(boxes ...[3]float64) []byte {
+	var data []byte
+	for _, b := range boxes {
+		data = append(data, byte(b[0]))
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(b[1]))
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(b[2]))
+	}
+	return data
+}
+
+// FuzzEventOrder checks the engine's event order against a comparison sort
+// of float positions: raw float64 bits (finite only, so ±0, subnormals,
+// ±MaxFloat64 and duplicates), planar and extended boxes, and slots with
+// gaps go through putKeys and radixSort, and the result must equal,
+// element for element, slices.SortFunc under cmpFloatEvent. Each input is
+// checked as decoded and repeated past radixInsertionCutoff events, so the
+// insertion and radix paths both see it.
+func FuzzEventOrder(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add(eventOrderSeed())
+	f.Add(eventOrderSeed([3]float64{1, negZero, 0}, [3]float64{1, 0, 0}, [3]float64{0, negZero, 1}, [3]float64{0, -1, 0}, [3]float64{3, 0, negZero}))
+	f.Add(eventOrderSeed([3]float64{0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}, [3]float64{1, 0x1p-1030, 0}, [3]float64{0, -math.MaxFloat64, math.MaxFloat64}, [3]float64{5, math.MaxFloat64, 0}))
+	f.Add(eventOrderSeed([3]float64{0, 2, 3}, [3]float64{0, 2, 3}, [3]float64{1, 2, 0}, [3]float64{1, 3, 0}, [3]float64{0, 3, 2}))
+	f.Add(eventOrderSeed([3]float64{0, math.Inf(1), 1}, [3]float64{0, math.NaN(), 1}, [3]float64{1, 1, 0}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64*eventOrderRecord {
+			data = data[:64*eventOrderRecord] // bound the work per execution
+		}
+		checkEventOrder(t, data)
+		if len(data) >= eventOrderRecord {
+			long := data
+			for len(long) < 2*radixInsertionCutoff*eventOrderRecord {
+				long = append(long, data...)
+			}
+			checkEventOrder(t, long)
+		}
+	})
+}
+
+func checkEventOrder(t *testing.T, data []byte) {
+	t.Helper()
+	items, slots := eventOrderBoxes(data)
+	var n [3]int
+	var want []floatEvent
+	for _, s := range slots {
+		b := &items[s].bounds
+		countEvents(&n, b)
+		if b.Min.X == b.Max.X {
+			want = append(want, floatEvent{b.Min.X, evPlanar<<evKindShift | s})
+		} else {
+			want = append(want, floatEvent{b.Min.X, evStart<<evKindShift | s}, floatEvent{b.Max.X, evEnd<<evKindShift | s})
+		}
+	}
+	slices.SortFunc(want, cmpFloatEvent)
+
+	keys, tmp := make([]evKey, n[vecmath.AxisX]), make([]evKey, n[vecmath.AxisX])
+	w := keyCursors(len(keys), len(slots))
+	for _, s := range slots {
+		putKeys(keys, &w, s, vecmath.AxisX, &items[s].bounds)
+	}
+	got := radixSort(keys, tmp)
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].code != want[i].code || got[i].pos != posKey(want[i].pos) {
+			t.Fatalf("event %d of %d: got code %#x key %#x, want code %#x pos %v", i, len(want), got[i].code, got[i].pos, want[i].code, want[i].pos)
+		}
+	}
+}
+
+// BenchmarkEventSort sorts one axis's event keys of a Sibenik subtree root,
+// the first node under nestedSequentialCutoff on the path that always takes
+// the larger child of the nested builder's binned split: the engine's radix
+// sort against a comparison sort of the same keys.
+func BenchmarkEventSort(b *testing.B) {
+	tris := scene.Sibenik().Triangles(0)
+	bd := NewBuilder()
+	c := bd.prepare(tris, BaseConfig(AlgoNested).normalized(len(tris)))
+	a := &bd.main
+	items, bounds := c.rootItems(a)
+	for len(items) >= nestedSequentialCutoff {
+		split, ok := c.parallelBestSplit(items, bounds, 1)
+		if !ok {
+			b.Fatal("no split above the cutoff")
+		}
+		lb, rb := bounds.Split(split.Axis, split.Pos)
+		left, right := c.partitionItems(a, items, split.Axis, split.Pos, lb, rb)
+		if items, bounds = left, lb; len(right) > len(left) {
+			items, bounds = right, rb
+		}
+	}
+	var n [3]int
+	for i := range items {
+		countEvents(&n, &items[i].bounds)
+	}
+	src := make([]evKey, n[vecmath.AxisX])
+	w := keyCursors(len(src), len(items))
+	for s := range items {
+		putKeys(src, &w, uint32(s), vecmath.AxisX, &items[s].bounds)
+	}
+	keys, tmp := make([]evKey, len(src)), make([]evKey, len(src))
+	b.Logf("%d items, %d keys", len(items), len(src))
+	b.Run("radix", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(keys, src)
+			radixSort(keys, tmp)
+		}
+	})
+	b.Run("comparison", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(keys, src)
+			slices.SortFunc(keys, func(x, y evKey) int {
+				if c := cmp.Compare(x.pos, y.pos); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.code, y.code)
+			})
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package arenafx is the arena-rule fixture: it declares its own pooled
-// arena type (the test config names it in ArenaTypes and lists this package
-// in ArenaPackages) and exercises every way an alias can cross — or legally
-// stay inside — the package surface.
+// arena type (the rule pools any type named arena; the test puts this
+// package in Config.Scopes["arena"]) and exercises every way an alias can
+// cross — or legally stay inside — the package surface.
 package arenafx
 
 import "sync"

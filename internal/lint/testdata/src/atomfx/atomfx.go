@@ -1,6 +1,6 @@
 // Package atomfx is the atomics-rule fixture: variables accessed through
 // sync/atomic anywhere must be accessed atomically everywhere. The test
-// rescopes Config.AtomicsPackages onto this package.
+// rescopes Config.Scopes["atomics"] onto this package.
 package atomfx
 
 import "sync/atomic"

@@ -1,7 +1,7 @@
 // Package ctxfx is the ctxflow-rule fixture. It imports the real
 // kdtune/internal/parallel and kdtune/internal/kdtree packages so the
 // guard- and canceler-provenance checks run against genuine signatures;
-// the test rescopes Config.CtxFlowPackages onto this package.
+// the test rescopes Config.Scopes["ctxflow"] onto this package.
 package ctxfx
 
 import (

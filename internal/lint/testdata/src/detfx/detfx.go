@@ -1,5 +1,5 @@
 // Package detfx is the determinism-rule fixture: it is listed in the test
-// config's DeterminismPackages, so every wall-clock read, global-source
+// config's Scopes["determinism"], so every wall-clock read, global-source
 // rand call, map range, and raw goroutine below must be reported (or
 // suppressed by the pragma sites, which double as suppression tests).
 package detfx

@@ -1,6 +1,6 @@
 // Package lockfx is the locks-rule fixture: no blocking operation while a
 // mutex may be held, and every observed lock nesting must be declared in
-// Config.LockOrder. The test rescopes Config.LocksPackages onto this
+// Config.LockOrder. The test rescopes Config.Scopes["locks"] onto this
 // package and declares the order outer.mu < inner.mu plus a LockMethods
 // entry for table.get.
 package lockfx

@@ -1,6 +1,6 @@
 // Package resfx is the resource-rule fixture: acquire/release pairing and
 // latch publication must hold on every path out, panic edges included.
-// The test rescopes Config.ResourcePackages onto this package and declares
+// The test rescopes Config.Scopes["resource"] onto this package and declares
 // pool.Get/GetErr -> Put (or conn.Close) as the resource protocol and
 // latch{} -> publish/close(done) as the latch protocol.
 package resfx

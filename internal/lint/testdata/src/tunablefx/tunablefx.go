@@ -1,7 +1,7 @@
 // Package tunablefx is the tunable-rule fixture. It imports the real
 // kdtune/internal/parallel and kdtune/internal/sah packages so the
 // argument-position tables inside the rule are checked against genuine
-// signatures; the test rescopes TunablePackages onto this package.
+// signatures; the test rescopes Config.Scopes["tunable"] onto this package.
 package tunablefx
 
 import (

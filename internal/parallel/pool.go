@@ -6,7 +6,8 @@
 //   - For/ForChunks mirror "#pragma omp parallel for" (loops over primitives
 //     and rays; ForChunks adds the chunk index and a minimum chunk size),
 //   - ExclusiveScan mirrors the parallel prefix operations of the nested and
-//     in-place builders (Choi et al.), SortFunc the sweep's event sort,
+//     in-place builders (Choi et al.), SortFunc the event sort of sah's
+//     per-node reference search,
 //   - per-node sync.Mutex in the lazy builder mirrors "#pragma omp critical".
 //
 // All primitives take an explicit worker count so the autotuner and the

@@ -11,10 +11,10 @@ import (
 const sortSequentialCutoff = 8192
 
 // SortFunc sorts s by cmp using a parallel merge sort across the given
-// worker budget. The sort is not stable. It exists for the event arrays of
-// the SAH sweep engine: sorting is the dominant cost of the Wald–Havran
-// style builders, and a subtree rooted high in the tree sorts arrays with
-// hundreds of thousands of entries.
+// worker budget. The sort is not stable. It sorts the event arrays of sah's
+// per-node reference sweep (sah.FindBestSplitSweep), which at a scene's
+// root hold hundreds of thousands of entries; the builders' sweep engine
+// radix-sorts its own events.
 //
 // A panic in cmp (on any half, goroutine or caller side) is captured, every
 // worker joins, and the first panic is re-raised on the caller as a
@@ -24,11 +24,10 @@ const sortSequentialCutoff = 8192
 // pending merges are abandoned (in-flight leaf sorts drain). After a
 // canceled call s is an unspecified permutation of its elements — callers
 // must check cc.Canceled() before relying on the order. A nil cc is never
-// canceled. Cancellation matters here because the sort is the single
-// longest uninterruptible stretch of a build: the node-level builder's
-// sweep engine sorts the events of every primitive at the root, two per
-// primitive and axis, so without a cancellation point a guarded build's
-// deadline could not fire until millions of comparisons finished.
+// canceled. Cancellation matters because a sort at a scene's root runs
+// millions of comparisons (two events per primitive and axis): without a
+// cancellation point a caller's deadline could not fire until they
+// finished.
 func SortFunc[T any](cc *Canceler, s []T, workers int, cmp func(a, b T) int) {
 	if cc.Canceled() {
 		return

@@ -5,7 +5,7 @@
 //     kd-trees for ray tracing"), which enumerates every candidate plane
 //     defined by (clipped) primitive bounds and is exact up to the cost
 //     model. The builders' sweep engine (internal/kdtree) costs each plane
-//     with SweepPlane; FindBestSplitSweep is the per-node form it is
+//     with a NodeCost; FindBestSplitSweep is the per-node form it is
 //     tested against, and
 //   - a binned search in the style of the parallel builders (Choi et al.,
 //     Danilewski et al.), which histograms primitive extents into a fixed
@@ -56,7 +56,12 @@ func (p Params) LeafCost(n int) float64 { return float64(n) * p.CI }
 // split into halves with surface areas areaL/areaR holding nl/nr primitives,
 // nb primitives total before the split. areaNode must be positive.
 func (p Params) SplitCost(areaNode, areaL, areaR float64, nl, nr, nb int) float64 {
-	inv := 1 / areaNode
+	return p.splitCost(1/areaNode, areaL, areaR, nl, nr, nb)
+}
+
+// splitCost is SplitCost given inv, the reciprocal of the node's surface
+// area.
+func (p Params) splitCost(inv, areaL, areaR float64, nl, nr, nb int) float64 {
 	return p.CT +
 		areaL*inv*float64(nl)*p.CI +
 		areaR*inv*float64(nr)*p.CI +
@@ -84,31 +89,58 @@ func splitCandidateValid(node vecmath.AABB, axis vecmath.Axis, pos float64) bool
 	return pos > node.Min.Axis(axis) && pos < node.Max.Axis(axis)
 }
 
-// SweepPlane evaluates the candidate plane {axis = pos} of an event sweep
-// over a node of n primitives with surface area areaNode: nl primitives
-// start before pos, nr end after it, and nPlanar lie in the plane, which the
-// split may send to either side (Wald–Havran: both placements are costed
-// and the cheaper kept). Planes on the node's boundary are rejected. best is
+// NodeCost costs the candidate planes of one node's event sweep. The terms
+// equation (1) takes from the node alone (the reciprocal of its surface
+// area, its faces and extents) are computed once, by Params.NodeCost; Plane
+// costs one plane. The builders' sweep engine and FindBestSplitSweep both
+// cost every plane through it, so the two searches pick bit-identical splits
+// whenever they visit the same planes in the same order.
+type NodeCost struct {
+	p      Params
+	lo, hi [3]float64 // the node's faces, indexed by axis
+	ext    [3]float64 // the node's extents (its diagonal), indexed by axis
+	inv    float64    // 1 / the node's surface area
+	n      int        // primitives in the node
+}
+
+// NodeCost returns the plane cost of a node of n primitives, or false if the
+// node has no surface area and so no plane to cost.
+func (p Params) NodeCost(node vecmath.AABB, n int) (NodeCost, bool) {
+	area := node.SurfaceArea()
+	if area <= 0 {
+		return NodeCost{}, false
+	}
+	d := node.Diagonal()
+	return NodeCost{
+		p:   p,
+		lo:  [3]float64{node.Min.X, node.Min.Y, node.Min.Z},
+		hi:  [3]float64{node.Max.X, node.Max.Y, node.Max.Z},
+		ext: [3]float64{d.X, d.Y, d.Z},
+		inv: 1 / area,
+		n:   n,
+	}, true
+}
+
+// Plane evaluates the candidate plane {axis = pos}: nl primitives start
+// before pos, nr end after it, and nPlanar lie in the plane, which the split
+// may send to either side (Wald–Havran: both placements are costed and the
+// cheaper kept). Planes on the node's boundary are rejected. best is
 // replaced only when the plane is strictly cheaper, so on a tie the earlier
-// candidate wins; SweepPlane reports whether it replaced best.
-//
-// The builders' sweep engine and FindBestSplitSweep both cost every plane
-// here, so the two searches pick bit-identical splits whenever they visit
-// the same planes in the same order.
-func (p Params) SweepPlane(best *Split, node vecmath.AABB, areaNode float64, axis vecmath.Axis, pos float64, nl, nr, nPlanar, n int) bool {
-	if !splitCandidateValid(node, axis, pos) {
+// candidate wins; Plane reports whether it replaced best.
+func (nc *NodeCost) Plane(best *Split, axis vecmath.Axis, pos float64, nl, nr, nPlanar int) bool {
+	lo, hi := nc.lo[axis], nc.hi[axis]
+	if !(pos > lo && pos < hi) {
 		return false
 	}
 	// The halves' surface areas, exactly as node.Split(axis, pos) and
 	// SurfaceArea compute them: pos lies strictly inside the node, so only
 	// the extent along axis changes.
-	el := node.Diagonal()
-	er := el.SetAxis(axis, node.Max.Axis(axis)-pos)
-	el = el.SetAxis(axis, pos-node.Min.Axis(axis))
-	al := 2 * (el.X*el.Y + el.Y*el.Z + el.Z*el.X)
-	ar := 2 * (er.X*er.Y + er.Y*er.Z + er.Z*er.X)
-	cL := p.SplitCost(areaNode, al, ar, nl+nPlanar, nr, n)
-	cR := p.SplitCost(areaNode, al, ar, nl, nr+nPlanar, n)
+	el, er := nc.ext, nc.ext
+	el[axis], er[axis] = pos-lo, hi-pos
+	al := 2 * (el[0]*el[1] + el[1]*el[2] + el[2]*el[0])
+	ar := 2 * (er[0]*er[1] + er[1]*er[2] + er[2]*er[0])
+	cL := nc.p.splitCost(nc.inv, al, ar, nl+nPlanar, nr, nc.n)
+	cR := nc.p.splitCost(nc.inv, al, ar, nl, nr+nPlanar, nc.n)
 	cost, dl, dr := cL, nPlanar, 0
 	if cR < cL {
 		cost, dl, dr = cR, 0, nPlanar
@@ -154,15 +186,20 @@ type event struct {
 func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prims []vecmath.AABB, workers int) (Split, bool) {
 	best := Split{Cost: math.Inf(1)}
 	found := false
-	areaNode := node.SurfaceArea()
-	if areaNode <= 0 || len(prims) == 0 || cc.Canceled() {
+	n := 0
+	for _, b := range prims {
+		if !b.IsEmpty() {
+			n++
+		}
+	}
+	nc, ok := p.NodeCost(node, n)
+	if !ok || n == 0 || cc.Canceled() {
 		return best, false
 	}
 
 	events := make([]event, 0, 2*len(prims))
 	for axis := vecmath.AxisX; axis <= vecmath.AxisZ; axis++ {
 		events = events[:0]
-		n := 0
 		for _, b := range prims {
 			if b.IsEmpty() {
 				continue
@@ -173,10 +210,6 @@ func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prim
 			} else {
 				events = append(events, event{lo, eventStart}, event{hi, eventEnd})
 			}
-			n++
-		}
-		if n == 0 {
-			continue
 		}
 		sortEvents(cc, events, workers)
 		if cc.Canceled() {
@@ -203,7 +236,7 @@ func FindBestSplitSweep(cc *parallel.Canceler, p Params, node vecmath.AABB, prim
 			// Primitives ending or lying exactly at pos leave the right set
 			// before the plane at pos is evaluated.
 			nr -= pEnd + pPlanar
-			if p.SweepPlane(&best, node, areaNode, axis, pos, nl, nr, pPlanar, n) {
+			if nc.Plane(&best, axis, pos, nl, nr, pPlanar) {
 				found = true
 			}
 			// Primitives starting or lying at pos belong to the left set for

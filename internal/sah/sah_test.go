@@ -183,6 +183,48 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNodeCostPlaneMatchesSplitCost pins the per-node plane cost to
+// equation (1) bit for bit: for random nodes and interior planes,
+// NodeCost.Plane must return exactly the cheaper placement SplitCost gives
+// over node.Split's halves, and planes on or outside the node's boundary
+// must be rejected.
+func TestNodeCostPlaneMatchesSplitCost(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	p := Params{CT: 10, CI: 17, CB: 10}
+	for trial := 0; trial < 2000; trial++ {
+		lo := v(r.NormFloat64()*50, r.NormFloat64()*50, r.NormFloat64()*50)
+		node := vecmath.AABB{Min: lo, Max: lo.Add(v(r.Float64()*9+1e-3, r.Float64()*9+1e-3, r.Float64()*9+1e-3))}
+		n := 1 + r.Intn(50)
+		nc, ok := p.NodeCost(node, n)
+		if !ok {
+			t.Fatalf("trial %d: node %v has area but no NodeCost", trial, node)
+		}
+		axis := vecmath.Axis(r.Intn(3))
+		nl, nr, planar := r.Intn(n+1), r.Intn(n+1), r.Intn(3)
+		pos := node.Min.Axis(axis) + r.Float64()*(node.Max.Axis(axis)-node.Min.Axis(axis))
+		if trial%10 == 0 {
+			pos = node.Max.Axis(axis) // boundary planes never split
+		}
+		got := Split{Cost: math.Inf(1)}
+		replaced := nc.Plane(&got, axis, pos, nl, nr, planar)
+		if !(pos > node.Min.Axis(axis) && pos < node.Max.Axis(axis)) {
+			if replaced {
+				t.Fatalf("trial %d: boundary plane %v@%v accepted", trial, axis, pos)
+			}
+			continue
+		}
+		l, rr := node.Split(axis, pos)
+		an, al, ar := node.SurfaceArea(), l.SurfaceArea(), rr.SurfaceArea()
+		want := math.Min(p.SplitCost(an, al, ar, nl+planar, nr, n), p.SplitCost(an, al, ar, nl, nr+planar, n))
+		if !replaced || got.Cost != want {
+			t.Fatalf("trial %d: plane %v@%v cost %v (replaced %v), want %v", trial, axis, pos, got.Cost, replaced, want)
+		}
+	}
+	if _, ok := p.NodeCost(box(1, 1, 1, 1, 1, 1), 3); ok {
+		t.Fatal("a point node has a NodeCost")
+	}
+}
+
 func TestSweepEmptySpaceCutoff(t *testing.T) {
 	// A single small primitive in a huge node: the SAH should cut away the
 	// empty space (split near the primitive boundary) rather than keep one

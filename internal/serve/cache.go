@@ -211,8 +211,9 @@ func (c *treeCache) Generation(key string) uint64 {
 // build (joined with any concurrent identical build) → stale generation →
 // median-fallback build on the same warm Builder → typed error. The caller
 // must Release the returned tree. ctx only bounds this request's waiting and
-// building; the returned tree may outlive it.
-func (c *treeCache) Get(ctx context.Context, key string, tris []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard) (*CachedTree, TreeSource, error) {
+// building; the returned tree may outlive it. tris materialises the
+// geometry; only the builds call it, so a hit never does.
+func (c *treeCache) Get(ctx context.Context, key string, tris func() []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard) (*CachedTree, TreeSource, error) {
 	e := c.entry(key)
 
 	for {
@@ -288,7 +289,7 @@ func asBuildAborted(err error, out **BuildAbortedError) bool {
 // every waiter. A panic anywhere inside (including an injected SiteServeCache
 // panic) is published as a failure before re-raising, so waiters can never
 // hang on an abandoned fill latch.
-func (c *treeCache) fill(ctx context.Context, e *cacheEntry, f *fillState, tris []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard) (t *CachedTree, err error) {
+func (c *treeCache) fill(ctx context.Context, e *cacheEntry, f *fillState, tris func() []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard) (t *CachedTree, err error) {
 	b := c.pool.Get()
 	published := false
 	publish := func(tree *CachedTree, ferr error) {
@@ -316,7 +317,7 @@ func (c *treeCache) fill(ctx context.Context, e *cacheEntry, f *fillState, tris 
 	}
 
 	start := time.Now()
-	tree, berr := b.BuildGuarded(tris, cfg, kdtree.GuardFromContext(ctx, base))
+	tree, berr := b.BuildGuarded(tris(), cfg, kdtree.GuardFromContext(ctx, base))
 	if berr != nil {
 		c.met.BuildsAborted.Add(1)
 		// Keep the Builder out of the pool: the ladder's median fallback
@@ -370,7 +371,7 @@ func (c *treeCache) install(e *cacheEntry, ct *CachedTree) {
 // redundant median build — a thundering herd of exactly the expensive work
 // fault conditions can least afford. warm may be nil when the failed build
 // was joined rather than owned.
-func (c *treeCache) ladder(ctx context.Context, e *cacheEntry, tris []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard, warm *kdtree.Builder) (*CachedTree, TreeSource, error) {
+func (c *treeCache) ladder(ctx context.Context, e *cacheEntry, tris func() []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard, warm *kdtree.Builder) (*CachedTree, TreeSource, error) {
 	putWarm := func() {
 		if warm != nil {
 			c.pool.Put(warm)
@@ -439,7 +440,7 @@ func (c *treeCache) ladder(ctx context.Context, e *cacheEntry, tris []vecmath.Tr
 // fallbackFill runs the median-algorithm rebuild this request owns and
 // publishes the outcome to every ladder waiter joined on e.fb. Like fill, a
 // panic releases the latch before unwinding so joiners can never hang.
-func (c *treeCache) fallbackFill(ctx context.Context, e *cacheEntry, f *fillState, tris []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard, warm *kdtree.Builder) (t *CachedTree, src TreeSource, err error) {
+func (c *treeCache) fallbackFill(ctx context.Context, e *cacheEntry, f *fillState, tris func() []vecmath.Triangle, cfg kdtree.Config, base kdtree.Guard, warm *kdtree.Builder) (t *CachedTree, src TreeSource, err error) {
 	b := warm
 	if b == nil {
 		b = c.pool.Get()
@@ -465,7 +466,7 @@ func (c *treeCache) fallbackFill(ctx context.Context, e *cacheEntry, f *fillStat
 	mcfg := cfg
 	mcfg.Algorithm = kdtree.AlgoMedian
 	start := time.Now()
-	tree, berr := b.BuildGuarded(tris, mcfg, kdtree.GuardFromContext(ctx, base))
+	tree, berr := b.BuildGuarded(tris(), mcfg, kdtree.GuardFromContext(ctx, base))
 	if berr != nil {
 		c.met.BuildsAborted.Add(1)
 		c.pool.Put(b)

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kdtune/internal/kdtree"
+	"kdtune/internal/scene"
+	"kdtune/internal/vecmath"
 )
 
 // TestLadderFallbackSingleflight pins that concurrent requests falling to
@@ -35,7 +39,7 @@ func TestLadderFallbackSingleflight(t *testing.T) {
 	results := make(chan out, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			tr, src, err := c.ladder(context.Background(), e, tris, cfg, kdtree.Guard{}, nil)
+			tr, src, err := c.ladder(context.Background(), e, func() []vecmath.Triangle { return tris }, cfg, kdtree.Guard{}, nil)
 			results <- out{tr, src, err} //kdlint:noctx test goroutine reports into a results channel buffered to the waiter count
 		}()
 	}
@@ -107,7 +111,7 @@ func TestFallbackLostInstallRaceRetires(t *testing.T) {
 	e.fb = f
 	e.mu.Unlock()
 
-	ct, src, err := c.fallbackFill(context.Background(), e, f, tris, cfg, kdtree.Guard{}, nil)
+	ct, src, err := c.fallbackFill(context.Background(), e, f, func() []vecmath.Triangle { return tris }, cfg, kdtree.Guard{}, nil)
 	if err != nil {
 		t.Fatalf("fallbackFill: %v", err)
 	}
@@ -127,5 +131,52 @@ func TestFallbackLostInstallRaceRetires(t *testing.T) {
 	ct.Release()
 	if got := pool.Size(); got != 1 {
 		t.Fatalf("pool size after Release = %d, want 1 (race-losing fallback must retire its Builder)", got)
+	}
+}
+
+// TestCacheHitSkipsFrameTriangles pins that a cache hit never materialises
+// the frame: on a dynamic scene every Triangles call allocates and
+// transforms a whole frame, so Server.tree must look its memoised key up and
+// hit the cache without one. A hit allocates less than one frame's triangle
+// slice, and the key it returns is the frame's GeometryKey.
+func TestCacheHitSkipsFrameTriangles(t *testing.T) {
+	sc := scene.WoodDoll()
+	if !sc.IsDynamic() {
+		t.Fatal("WoodDoll is static; the probe needs a dynamic scene")
+	}
+	s := New(Config{Scenes: []*scene.Scene{sc}})
+	const frame = 3
+	algo := s.cfg.Algorithm
+	ct, key, src, err := s.tree(context.Background(), sc, frame, algo)
+	if err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	ct.Release()
+	if src != SourceBuilt {
+		t.Fatalf("first request source = %v, want built", src)
+	}
+	if want := GeometryKey(sc.Triangles(frame), algo); key != want {
+		t.Fatalf("key = %s, want the frame's GeometryKey %s", key, want)
+	}
+
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ct, _, src, err := s.tree(context.Background(), sc, frame, algo)
+		if err != nil {
+			t.Fatalf("hit %d: %v", i, err)
+		}
+		ct.Release()
+		if src != SourceHit {
+			t.Fatalf("hit %d source = %v, want hit", i, src)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	frameBytes := uint64(sc.NumTriangles()) * uint64(unsafe.Sizeof(vecmath.Triangle{}))
+	t.Logf("cache hit allocates %d B; one frame's triangles are %d B", perCall, frameBytes)
+	if perCall >= frameBytes {
+		t.Fatalf("a cache hit allocates %d B, at least one frame's triangle slice (%d B)", perCall, frameBytes)
 	}
 }

@@ -55,8 +55,9 @@ func (s *Server) sceneOf(r *http.Request) (*scene.Scene, int, kdtree.Algorithm, 
 
 // geomKey memoises GeometryKey per (scene, frame, algorithm): the triangles
 // of a given frame are deterministic, so the hash is computed once and the
-// per-request cost is a map lookup.
-func (s *Server) geomKey(sc *scene.Scene, frame int, algo kdtree.Algorithm, tris []vecmath.Triangle) string {
+// per-request cost is a map lookup. tris materialises the frame; only a memo
+// miss calls it.
+func (s *Server) geomKey(sc *scene.Scene, frame int, algo kdtree.Algorithm, tris func() []vecmath.Triangle) string {
 	memo := fmt.Sprintf("%s\x00%d\x00%d", sc.Name, frame, algo)
 	s.keyMu.Lock()
 	key, ok := s.keys[memo]
@@ -64,17 +65,31 @@ func (s *Server) geomKey(sc *scene.Scene, frame int, algo kdtree.Algorithm, tris
 	if ok {
 		return key
 	}
-	key = GeometryKey(tris, algo)
+	key = GeometryKey(tris(), algo)
 	s.keyMu.Lock()
 	s.keys[memo] = key
 	s.keyMu.Unlock()
 	return key
 }
 
+// frameTris returns a function that materialises sc's frame on its first
+// call and returns the same slice after. A dynamic scene allocates and
+// transforms a whole frame per Triangles call, so a request pays for it only
+// when it hashes the frame or builds a tree over it.
+func frameTris(sc *scene.Scene, frame int) func() []vecmath.Triangle {
+	var tris []vecmath.Triangle
+	return func() []vecmath.Triangle {
+		if tris == nil {
+			tris = sc.Triangles(frame)
+		}
+		return tris
+	}
+}
+
 // tree walks the cache (and its degradation ladder) for the request's scene.
 // The caller must Release the returned tree.
 func (s *Server) tree(ctx context.Context, sc *scene.Scene, frame int, algo kdtree.Algorithm) (*CachedTree, string, TreeSource, error) {
-	tris := sc.Triangles(frame)
+	tris := frameTris(sc, frame)
 	key := s.geomKey(sc, frame, algo, tris)
 	cfg := kdtree.BaseConfig(algo)
 	cfg.Workers = s.cfg.Workers
@@ -329,7 +344,7 @@ func (s *Server) handleInvalidate(ctx context.Context, r *http.Request, rec *Log
 	if err != nil {
 		return nil, err
 	}
-	key := s.geomKey(sc, frame, algo, sc.Triangles(frame))
+	key := s.geomKey(sc, frame, algo, frameTris(sc, frame))
 	gen := s.cache.Invalidate(key)
 	return &result{
 		scene: sc.Name,
