@@ -474,7 +474,7 @@ func BenchmarkIntersectSoA(b *testing.B) {
 	b.Run("soa-precomputed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := range a {
-				vecmath.IntersectRayPre(a[j], e1[j], e2[j], ray, 1e-9, math.Inf(1))
+				vecmath.IntersectRayPre(&a[j], &e1[j], &e2[j], &ray.Origin, &ray.Dir, 1e-9, math.Inf(1))
 			}
 		}
 	})

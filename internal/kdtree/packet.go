@@ -28,8 +28,12 @@ import (
 //     best hit") only changes its verdict when best or curMin change, which
 //     happens at leaves and pops; applying it per lane at pop time is
 //     therefore exactly equivalent.
-//   - Leaf tests call the same vecmath.IntersectRayPre over the same SoA
+//   - Leaf tests run vecmath.IntersectRayPre's arithmetic over the same SoA
 //     slots in the same order, with the same strict-< best acceptance.
+//     Shadow packets call the routine itself. A primary packet whose lanes
+//     all share one origin (bitwise) runs originTri instead, which computes
+//     the routine's origin-only terms once per triangle and gives each lane
+//     the routine's bits (see originTri).
 //   - Demotion hands the lane's live (interval, best) state to the scalar
 //     core at the divergent node — the continuation a scalar walk would
 //     have run from that exact state.
@@ -73,6 +77,9 @@ type PacketScratch struct {
 	cur0 [MaxPacketWidth]float64
 	cur1 [MaxPacketWidth]float64
 
+	// Per-lane (t, u, v) of the hits originTri reports.
+	th, tu, tv [MaxPacketWidth]float64
+
 	stack []packetEntry // shared far-subtree stack, high-water sized
 }
 
@@ -112,6 +119,63 @@ func (ps *PacketScratch) load(t *Tree, rays []vecmath.Ray, tMin, tMax float64) u
 		ps.cur1[l] = t1
 	}
 	return mask
+}
+
+// sharedOrigin reports whether every ray starts at the same origin, compared
+// bit for bit so that ±0 and NaN components never count as shared.
+func sharedOrigin(rays []vecmath.Ray) bool {
+	o := &rays[0].Origin
+	x, y, z := math.Float64bits(o.X), math.Float64bits(o.Y), math.Float64bits(o.Z)
+	for l := 1; l < len(rays); l++ {
+		p := &rays[l].Origin
+		if math.Float64bits(p.X) != x || math.Float64bits(p.Y) != y || math.Float64bits(p.Z) != z {
+			return false
+		}
+	}
+	return true
+}
+
+// originTri tests the triangle (a, e1, e2) against every lane in active, for
+// a packet whose lanes all start at o, as a pinhole camera's primary rays
+// do. It is vecmath.IntersectRayPre split at the origin: s = o − a,
+// q = s × e1 and e2·q depend only on the origin and the triangle, so they
+// are computed once here rather than once per lane, and each lane computes
+// only p = d × e2, det, 1/det, u, v and t. Every value is the routine's
+// expression over the same operands, and the tests run in the routine's
+// order, so each lane gets the routine's (t, u, v, hit) bit for bit. It
+// returns the lanes that hit, with their (t, u, v) in ps.th, ps.tu and
+// ps.tv.
+//
+//kdlint:hotpath
+func (ps *PacketScratch) originTri(rays []vecmath.Ray, active uint32, o, a, e1, e2 *vecmath.Vec3, tMin, tMax float64) (hits uint32) {
+	s := o.Sub(*a)
+	q := s.Cross(*e1)
+	e2q := e2.Dot(q)
+	for m := active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d := &rays[l].Dir
+		p := d.Cross(*e2)
+		det := e1.Dot(p)
+		if math.Abs(det) < vecmath.EpsIntersect {
+			continue
+		}
+		inv := 1 / det
+		u := s.Dot(p) * inv
+		if u < 0 || u > 1 {
+			continue
+		}
+		v := d.Dot(q) * inv
+		if v < 0 || u+v > 1 {
+			continue
+		}
+		th := e2q * inv
+		if th <= tMin || th >= tMax {
+			continue
+		}
+		ps.th[l], ps.tu[l], ps.tv[l] = th, u, v
+		hits |= 1 << uint(l)
+	}
+	return hits
 }
 
 // splitAgreement reports whether every lane in mask orders the children of
@@ -154,6 +218,10 @@ func (t *Tree) IntersectPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax
 			ps.Hits[l] = Hit{}
 		}
 		return 0
+	}
+	var org *vecmath.Vec3 // the lanes' one origin, nil if they differ
+	if sharedOrigin(rays) {
+		org = &rays[0].Origin
 	}
 
 	node := t.root
@@ -236,11 +304,22 @@ func (t *Tree) IntersectPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax
 
 		case kindLeaf:
 			for i := n.triStart(); i < n.triStart()+n.triCount(); i++ {
-				a, e1, e2 := t.soa.a[i], t.soa.e1[i], t.soa.e2[i]
+				a, e1, e2 := &t.soa.a[i], &t.soa.e1[i], &t.soa.e2[i]
 				ti := int(t.leafTris[i])
+				if org != nil {
+					for m := ps.originTri(rays, active, org, a, e1, e2, tMin, tMax); m != 0; m &= m - 1 {
+						l := bits.TrailingZeros32(m)
+						if ps.th[l] < ps.Hits[l].T {
+							ps.Hits[l] = Hit{T: ps.th[l], Tri: ti, U: ps.tu[l], V: ps.tv[l]}
+							ps.Ok[l] = true
+						}
+					}
+					continue
+				}
 				for m := active; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros32(m)
-					if th, u, v, hit := vecmath.IntersectRayPre(a, e1, e2, rays[l], tMin, tMax); hit && th < ps.Hits[l].T {
+					r := &rays[l]
+					if th, u, v, hit := vecmath.IntersectRayPre(a, e1, e2, &r.Origin, &r.Dir, tMin, tMax); hit && th < ps.Hits[l].T {
 						ps.Hits[l] = Hit{T: th, Tri: ti, U: u, V: v}
 						ps.Ok[l] = true
 					}
@@ -398,10 +477,11 @@ func (t *Tree) OccludedPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax 
 
 		case kindLeaf:
 			for i := n.triStart(); i < n.triStart()+n.triCount(); i++ {
-				a, e1, e2 := t.soa.a[i], t.soa.e1[i], t.soa.e2[i]
+				a, e1, e2 := &t.soa.a[i], &t.soa.e1[i], &t.soa.e2[i]
 				for m := active; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros32(m)
-					if _, _, _, hit := vecmath.IntersectRayPre(a, e1, e2, rays[l], tMin, tMax); hit {
+					r := &rays[l]
+					if _, _, _, hit := vecmath.IntersectRayPre(a, e1, e2, &r.Origin, &r.Dir, tMin, tMax); hit {
 						bit := uint32(1) << uint(l)
 						ps.Occ[l] = true
 						undecided &^= bit

@@ -224,6 +224,17 @@ func TestPacketZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("OccludedPacket allocates %.1f objects per batch, want 0", avg)
 	}
+	// Rays from one origin take the shared-origin leaf test.
+	for i := range rays {
+		rays[i] = vecmath.Towards(rays[0].Origin, rays[i].At(1))
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		for start := 0; start < len(rays); start += 16 {
+			tree.IntersectPacket(&ps, rays[start:start+16], 1e-9, math.Inf(1))
+		}
+	}); avg != 0 {
+		t.Errorf("IntersectPacket allocates %.1f objects per shared-origin batch, want 0", avg)
+	}
 }
 
 // TestPacketDegenerateInputs: empty packets, single-lane packets, rays that

@@ -12,8 +12,10 @@ import "kdtune/internal/vecmath"
 // triangles referenced by several leaves are simply duplicated.
 //
 // Because e1/e2 come from exactly the subtractions Triangle.IntersectRay
-// performs, vecmath.IntersectRayPre over this layout is bitwise identical
-// to the AoS path (the packet-vs-scalar oracle depends on this).
+// performs before it calls the same vecmath.IntersectRayPre, the leaf loops
+// (which pass slot pointers to that routine, or run its shared-origin split
+// originTri) are bitwise identical to the AoS path; the packet-vs-scalar
+// oracle depends on this.
 //
 // A Builder owns the backing arrays like any other arena: the Tree returned
 // by Build borrows them, and warm rebuilds refill them in place.

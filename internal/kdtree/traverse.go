@@ -36,8 +36,15 @@ type stackEntry struct {
 // visits right at cell boundaries.
 const boundarySlack = 1e-14
 
+// splitSlack runs once per inner node for every ray, so it uses the builtin
+// max, which is inlined, where math.Max is an assembly call. The two agree
+// bit for bit except on (±Inf, NaN), where the builtin gives NaN and
+// math.Max +Inf. The slack only ever reaches curMax+slack and curMin-slack,
+// and there each pair gives NaN both ways or, under math.Max, +Inf above or
+// -Inf below, which no tSplit passes, so every comparison comes out the
+// same.
 func splitSlack(curMin, curMax float64) float64 {
-	return boundarySlack * math.Max(math.Abs(curMin), math.Abs(curMax))
+	return boundarySlack * max(math.Abs(curMin), math.Abs(curMax))
 }
 
 // Intersect finds the closest intersection of r with the scene in the
@@ -163,7 +170,7 @@ func (t *Tree) intersectFrom(r vecmath.Ray, inv vecmath.Vec3, start int32, curMi
 			// precomputed-edge arrays in leaf-reference order (see triSoA);
 			// bitwise identical to testing t.tris[leafTris[i]] directly.
 			for i := n.triStart(); i < n.triStart()+n.triCount(); i++ {
-				if th, u, v, hit := vecmath.IntersectRayPre(t.soa.a[i], t.soa.e1[i], t.soa.e2[i], r, tMin, tMax); hit && th < best.T {
+				if th, u, v, hit := vecmath.IntersectRayPre(&t.soa.a[i], &t.soa.e1[i], &t.soa.e2[i], &r.Origin, &r.Dir, tMin, tMax); hit && th < best.T {
 					best = Hit{T: th, Tri: int(t.leafTris[i]), U: u, V: v}
 					found = true
 				}
@@ -257,7 +264,7 @@ func (t *Tree) occludedFrom(r vecmath.Ray, inv vecmath.Vec3, start int32, curMin
 
 		case kindLeaf:
 			for i := n.triStart(); i < n.triStart()+n.triCount(); i++ {
-				if _, _, _, hit := vecmath.IntersectRayPre(t.soa.a[i], t.soa.e1[i], t.soa.e2[i], r, tMin, tMax); hit {
+				if _, _, _, hit := vecmath.IntersectRayPre(&t.soa.a[i], &t.soa.e1[i], &t.soa.e2[i], &r.Origin, &r.Dir, tMin, tMax); hit {
 					return true
 				}
 			}

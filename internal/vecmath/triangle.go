@@ -51,37 +51,42 @@ func (t Triangle) Transform(m Mat4) Triangle {
 	return Triangle{m.ApplyPoint(t.A), m.ApplyPoint(t.B), m.ApplyPoint(t.C)}
 }
 
-// epsIntersect guards the Möller–Trumbore determinant against rays parallel
-// to the triangle plane.
-const epsIntersect = 1e-12
+// EpsIntersect guards the Möller–Trumbore determinant against rays parallel
+// to the triangle plane: a test whose |det| is below it misses.
+const EpsIntersect = 1e-12
 
 // IntersectRay intersects ray r with the triangle using the Möller–Trumbore
 // algorithm. On a hit it returns the parametric distance t (in units of
 // |r.Dir|) with t in (tMin, tMax), plus the barycentric coordinates (u, v)
 // of the hit point with respect to vertices B and C.
 func (t Triangle) IntersectRay(r Ray, tMin, tMax float64) (tHit, u, v float64, hit bool) {
-	return IntersectRayPre(t.A, t.B.Sub(t.A), t.C.Sub(t.A), r, tMin, tMax)
+	e1, e2 := t.B.Sub(t.A), t.C.Sub(t.A)
+	return IntersectRayPre(&t.A, &e1, &e2, &r.Origin, &r.Dir, tMin, tMax)
 }
 
-// IntersectRayPre is IntersectRay over a triangle in precomputed-edge form:
-// vertex a plus the edge vectors e1 = B-A and e2 = C-A. Callers that store
-// many triangles this way (the kD-tree's SoA leaf layout) skip the two edge
-// subtractions per test; results are bitwise identical to IntersectRay as
-// long as e1/e2 were produced by exactly those subtractions.
-func IntersectRayPre(a, e1, e2 Vec3, r Ray, tMin, tMax float64) (tHit, u, v float64, hit bool) {
-	p := r.Dir.Cross(e2)
+// IntersectRayPre is IntersectRay over a triangle in precomputed-edge form,
+// vertex a plus the edge vectors e1 = B-A and e2 = C-A, and a ray given as
+// its origin o and direction d. It is the repository's one Möller–Trumbore
+// routine. Callers that store many triangles this way (the kD-tree's SoA
+// leaf layout) skip the two edge subtractions per test; results are bitwise
+// identical to IntersectRay as long as e1/e2 were produced by exactly those
+// subtractions. The vectors are passed by pointer: by value they and the
+// bounds are 20 float64s, more than the register ABI's 15 float argument
+// registers, so the ray would be copied through the stack on every test.
+func IntersectRayPre(a, e1, e2, o, d *Vec3, tMin, tMax float64) (tHit, u, v float64, hit bool) {
+	p := d.Cross(*e2)
 	det := e1.Dot(p)
-	if math.Abs(det) < epsIntersect {
+	if math.Abs(det) < EpsIntersect {
 		return 0, 0, 0, false
 	}
 	inv := 1 / det
-	s := r.Origin.Sub(a)
+	s := o.Sub(*a)
 	u = s.Dot(p) * inv
 	if u < 0 || u > 1 {
 		return 0, 0, 0, false
 	}
-	q := s.Cross(e1)
-	v = r.Dir.Dot(q) * inv
+	q := s.Cross(*e1)
+	v = d.Dot(q) * inv
 	if v < 0 || u+v > 1 {
 		return 0, 0, 0, false
 	}
