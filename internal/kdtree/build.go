@@ -1,8 +1,6 @@
 package kdtree
 
 import (
-	"math"
-
 	"kdtune/internal/faultinject"
 	"kdtune/internal/parallel"
 	"kdtune/internal/sah"
@@ -94,8 +92,8 @@ func (c *buildCtx) childBounds(it item, child vecmath.AABB, axis vecmath.Axis) (
 		return vecmath.ClipTriangleBounds(c.tris[it.tri], child)
 	}
 	b := it.bounds
-	lo := math.Max(b.Min.Axis(axis), child.Min.Axis(axis))
-	hi := math.Min(b.Max.Axis(axis), child.Max.Axis(axis))
+	lo := max(b.Min.Axis(axis), child.Min.Axis(axis))
+	hi := min(b.Max.Axis(axis), child.Max.Axis(axis))
 	b.Min = b.Min.SetAxis(axis, lo)
 	b.Max = b.Max.SetAxis(axis, hi)
 	return b, !(hi < lo)

@@ -318,9 +318,12 @@ func (c *buildCtx) splitEvents(a *arena, items []item, ev evLists, split sah.Spl
 // childBounds computes it, and adds the box's events to n. ok is false when
 // the item misses the child; kept reports that its box is unchanged, so its
 // events carry over. Without clipping only the extent along axis can
-// change: it is narrowed in place with the math.Max/math.Min calls
-// childBounds makes, and the item counts as unchanged when both of its
-// endpoints on the axis compare equal.
+// change: it is narrowed in place with the max/min childBounds takes, and
+// the item counts as unchanged when both of its endpoints on the axis
+// compare equal. Both use the builtin max and min, which are inlined where
+// math.Max and math.Min are assembly calls; on finite operands they give the
+// same bits, ±0 included (max(−0, +0) is +0 and min(−0, +0) is −0 under
+// both), and box bounds are always finite.
 func (c *buildCtx) appendChild(child []item, it *item, cb *vecmath.AABB, axis vecmath.Axis, n *[3]int) (_ []item, kept, ok bool) {
 	if c.cfg.UseClipping {
 		b, ok := c.childBounds(*it, *cb, axis)
@@ -331,7 +334,7 @@ func (c *buildCtx) appendChild(child []item, it *item, cb *vecmath.AABB, axis ve
 		return append(child, item{it.tri, b}), b == it.bounds, true
 	}
 	lo, hi := it.bounds.Min.Axis(axis), it.bounds.Max.Axis(axis)
-	clo, chi := math.Max(lo, cb.Min.Axis(axis)), math.Min(hi, cb.Max.Axis(axis))
+	clo, chi := max(lo, cb.Min.Axis(axis)), min(hi, cb.Max.Axis(axis))
 	if chi < clo {
 		return child, false, false
 	}
