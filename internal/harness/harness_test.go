@@ -244,7 +244,7 @@ func TestPlatforms(t *testing.T) {
 	if len(ps) != 4 {
 		t.Fatalf("want 4 platforms, got %d", len(ps))
 	}
-	if ReferencePlatform().Threads != 24 {
+	if ps[0].Threads != 24 {
 		t.Fatalf("reference platform should be the 24-thread Opteron")
 	}
 	for _, p := range ps {

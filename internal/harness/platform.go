@@ -22,7 +22,3 @@ func Platforms() []Platform {
 		{Name: "A8-4500M", Threads: 4},
 	}
 }
-
-// ReferencePlatform is the machine most experiments ran on: the dual
-// 12-core Opteron.
-func ReferencePlatform() Platform { return Platforms()[0] }
