@@ -159,7 +159,7 @@ func FuzzLeafKernel(f *testing.F) {
 		// reported.
 		var ps PacketScratch
 		for _, active := range []uint32{all, all & 0x5555} {
-			hits := ps.originTri(rays, active, &rays[0].Origin, &in.a, &in.e1, &in.e2, in.tMin, in.tMax)
+			hits := ps.originTri(rays, active, &in.a, &in.e1, &in.e2, in.tMin, in.tMax)
 			if hits&^active != 0 {
 				t.Fatalf("originTri reported inactive lanes %#x of active %#x", hits&^active, active)
 			}
@@ -231,7 +231,7 @@ func BenchmarkLeafKernel(b *testing.B) {
 		var ps PacketScratch
 		for i := 0; i < b.N; i++ {
 			for j := lo; j < hi; j++ {
-				sink += bits.OnesCount32(ps.originTri(rays, 0xf, &rays[0].Origin, &soa.a[j], &soa.e1[j], &soa.e2[j], tMin, tMax))
+				sink += bits.OnesCount32(ps.originTri(rays, 0xf, &soa.a[j], &soa.e1[j], &soa.e2[j], tMin, tMax))
 			}
 		}
 	})

@@ -136,8 +136,9 @@ func sharedOrigin(rays []vecmath.Ray) bool {
 }
 
 // originTri tests the triangle (a, e1, e2) against every lane in active, for
-// a packet whose lanes all start at o, as a pinhole camera's primary rays
-// do. It is vecmath.IntersectRayPre split at the origin: s = o − a,
+// a packet whose lanes all start at rays[0]'s origin o, as a pinhole
+// camera's primary rays do (see sharedOrigin). It is
+// vecmath.IntersectRayPre split at the origin: s = o − a,
 // q = s × e1 and e2·q depend only on the origin and the triangle, so they
 // are computed once here rather than once per lane, and each lane computes
 // only p = d × e2, det, 1/det, u, v and t. Every value is the routine's
@@ -147,8 +148,8 @@ func sharedOrigin(rays []vecmath.Ray) bool {
 // ps.tv.
 //
 //kdlint:hotpath
-func (ps *PacketScratch) originTri(rays []vecmath.Ray, active uint32, o, a, e1, e2 *vecmath.Vec3, tMin, tMax float64) (hits uint32) {
-	s := o.Sub(*a)
+func (ps *PacketScratch) originTri(rays []vecmath.Ray, active uint32, a, e1, e2 *vecmath.Vec3, tMin, tMax float64) (hits uint32) {
+	s := rays[0].Origin.Sub(*a)
 	q := s.Cross(*e1)
 	e2q := e2.Dot(q)
 	for m := active; m != 0; m &= m - 1 {
@@ -219,10 +220,7 @@ func (t *Tree) IntersectPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax
 		}
 		return 0
 	}
-	var org *vecmath.Vec3 // the lanes' one origin, nil if they differ
-	if sharedOrigin(rays) {
-		org = &rays[0].Origin
-	}
+	shared := sharedOrigin(rays)
 
 	node := t.root
 	active := mask
@@ -306,8 +304,8 @@ func (t *Tree) IntersectPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax
 			for i := n.triStart(); i < n.triStart()+n.triCount(); i++ {
 				a, e1, e2 := &t.soa.a[i], &t.soa.e1[i], &t.soa.e2[i]
 				ti := int(t.leafTris[i])
-				if org != nil {
-					for m := ps.originTri(rays, active, org, a, e1, e2, tMin, tMax); m != 0; m &= m - 1 {
+				if shared {
+					for m := ps.originTri(rays, active, a, e1, e2, tMin, tMax); m != 0; m &= m - 1 {
 						l := bits.TrailingZeros32(m)
 						if ps.th[l] < ps.Hits[l].T {
 							ps.Hits[l] = Hit{T: ps.th[l], Tri: ti, U: ps.tu[l], V: ps.tv[l]}
