@@ -109,16 +109,24 @@ func leafKernelSeed(shared bool, a, e1, e2 vecmath.Vec3, tMin, tMax float64, lan
 }
 
 // sameKernelResult reports whether two (t, u, v, hit) results agree bit for
-// bit.
+// bit, where any NaN matches any NaN. Go fixes no NaN payload: the compiler
+// may swap the operands of a commutative float operation, and amd64 keeps
+// the first operand's payload when both are NaN, so two compilations of
+// the same expression can return NaNs with different bits (the nan_payload
+// seed is such a case for t and v). A NaN t never passes a leaf loop's
+// strict t < best acceptance, and occlusion reads only hit.
 func sameKernelResult(t1, u1, v1 float64, h1 bool, t2, u2, v2 float64, h2 bool) bool {
-	return h1 == h2 && math.Float64bits(t1) == math.Float64bits(t2) &&
-		math.Float64bits(u1) == math.Float64bits(u2) && math.Float64bits(v1) == math.Float64bits(v2)
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	return h1 == h2 && same(t1, t2) && same(u1, u2) && same(v1, v2)
 }
 
 // FuzzLeafKernel holds both formulations of the leaf test to the old
 // kernel's bits: for every lane, vecmath.IntersectRayPre must return
-// refIntersectRayPre's (t, u, v, hit) exactly, and when the lanes' origins
-// are bitwise equal (always, under the shared flag) so must originTri. It
+// refIntersectRayPre's (t, u, v, hit) exactly (NaN payloads aside, see
+// sameKernelResult), and when the lanes' origins are bitwise equal
+// (always, under the shared flag) so must originTri. It
 // also checks that sharedOrigin compares bits, so lanes whose origins
 // differ only in the sign of a zero or in a NaN payload never share. The
 // committed corpus covers ±0 and subnormal directions, det at
