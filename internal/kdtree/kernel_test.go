@@ -126,11 +126,11 @@ func sameKernelResult(t1, u1, v1 float64, h1 bool, t2, u2, v2 float64, h2 bool) 
 // kernel's bits: for every lane, vecmath.IntersectRayPre must return
 // refIntersectRayPre's (t, u, v, hit) exactly (NaN payloads aside, see
 // sameKernelResult), and when the lanes' origins are bitwise equal
-// (always, under the shared flag) so must originTri. It
-// also checks that sharedOrigin compares bits, so lanes whose origins
-// differ only in the sign of a zero or in a NaN payload never share. The
-// committed corpus covers ±0 and subnormal directions, det at
-// ±EpsIntersect, u+v = 1, t at tMin and at tMax, and signed-zero origins.
+// (always, under the shared flag) so must originTri. It also checks that
+// sharedOrigin compares bits, so lanes whose origins differ only in the
+// sign of a zero or in a NaN payload never share. The committed corpus
+// covers ±0 and subnormal directions, det at ±EpsIntersect, u+v = 1, t at
+// tMin and at tMax, and signed-zero origins.
 func FuzzLeafKernel(f *testing.F) {
 	f.Add(leafKernelSeed(true, vecmath.V(0, 0, 0), vecmath.V(1, 0, 0), vecmath.V(0, 1, 0), 1e-9, math.Inf(1),
 		[2]vecmath.Vec3{vecmath.V(0.25, 0.25, -1), vecmath.V(0, 0, 1)},
